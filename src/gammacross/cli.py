@@ -62,8 +62,7 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
-def _report_payload(rep: CrossingReport, seed=None) -> dict:
-    orders = _order_predicates(rep)
+def _report_payload(rep: CrossingReport, orders: dict, seed=None) -> dict:
     payload = {
         "command": "check",
         "engine_version": ENGINE_VERSION,
@@ -144,7 +143,7 @@ def cmd_check(args) -> int:
     for key, val in orders.items():
         print(f"{key}: {val}")
     if args.out:
-        _dump_json(_report_payload(rep), args.out)
+        _dump_json(_report_payload(rep, orders), args.out)
         print(f"report written to {args.out}")
     return 2 if rep.classification is Classification.UNDECIDED else 0
 

@@ -1,21 +1,37 @@
 """Distribution engine for finite convolutions of independent gamma variables.
 
 A convolution sum(scale_i * gamma(shape_i, 1)) is represented by a single
-series expansion around the smallest scale beta1:
+series expansion around the smallest scale beta1 (Moschopoulos 1985):
 
-    F(x) = sum_k w_k P(rho + k, x / beta1),    rho = sum(shape_i)
+    F(x) = sum_k w_k P(rho + k, y),    y = x / beta1,  rho = sum(shape_i)
 
-with mixture weights w_k >= 0 summing to 1 (the classical recursive scheme:
-w_0 = prod(beta1/beta_i)^shape_i and (k+1) w_{k+1} = sum_{i=1..k+1} c_i
-w_{k+1-i} with c_i = sum_j shape_j (1 - beta1/beta_j)^i).  Truncation is by
-accumulated weight: the omitted mass 1 - sum w_k bounds the CDF error
-directly.  Per-term magnitudes are evaluated in log space against a per-index
-log-gamma table; the weight recurrence itself runs in linear space where its
-terms are probabilities.  Naive evaluation of the scaled series coefficients
-underflows for extreme scale ratios, hence the split.
+Weights.  w is the pmf of a sum of independent negative binomials
+NB(shape_j, p_j), p_j = beta1 / beta_j, so it is the convolution of their
+pmfs.  Each pmf is evaluated in log space (betaln, log1p) and cut at the
+first k whose survival betainc(k, shape_j, 1 - p_j) is at most
+TAIL_TARGET / J, J the number of components above beta1.  The convolution
+of the cut factors misses at most the sum of those survivals; that sum is
+the series tail, and it bounds the CDF truncation error.
 
-Densities and their first two x-derivatives come from differentiating the
-series termwise; the same truncation bound applies.
+CDF.  With u_j(y) = y^(rho+j-1) e^-y / Gamma(rho + j), the unit gamma
+density at shape rho + j, the ladder P(rho + k, y) = P(rho, y) - sum_{j=1..k}
+u_j(y) turns the series into its tail-sum form
+
+    F(x) = Wbar_0 P(rho, y) - sum_{j>=1} Wbar_j u_j(y),   Wbar_j = sum_{k>=j} w_k,
+
+with the tail sums Wbar built with the weights.  The density and its first
+two x-derivatives are sum_k w_k u_k^(d)(y) / beta1^(d+1), termwise.
+
+Term window.  As a function of j, u_j(y) is concentrated within O(sqrt(y))
+of y - rho.  Points are sorted and evaluated in blocks of _BLOCK; a block
+spanning [y_lo, y_hi] sums only the terms j in [lo, hi].  The omitted ladder
+mass is at most gammaincc(rho + lo - 1, y_lo) below the window and
+gammainc(rho + hi - d, y_hi) above it (d the derivative order; the shift
+covers the derivative factors, since u_a' = u_(a-1) - u_a), both exact at the
+block's ends because they are monotone in y.  Each window is widened until
+both bounds are at most _WINDOW_TAIL, which keeps the omitted part of a CDF
+value below 2 * _WINDOW_TAIL and of a density value below
+(2.2 + 2^d) * _WINDOW_TAIL / beta1^(d+1).
 """
 
 from __future__ import annotations
@@ -27,8 +43,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
 
-from . import specfun
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -47,8 +63,10 @@ TAIL_TARGET = 1e-14
 MAX_TERMS = 100_000
 _SCALE_MERGE_RTOL = 1e-12
 _BRACKET_MAX_ITER = 200
-_EVAL_CHUNK = 512
 _UNDERFLOW_LOG_FLOOR = -700.0
+# points per evaluation block, and the ladder mass a term window may omit
+_BLOCK = 64
+_WINDOW_TAIL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -70,8 +88,9 @@ class _Series:
     beta1: float
     rho: float
     weights: np.ndarray  # w_k, k = 0..K-1
-    lgam: np.ndarray  # lnGamma(rho + k), k = 0..K
-    tail: float  # 1 - sum(weights), in [0, TAIL_TARGET]
+    wbar: np.ndarray  # Wbar_j = sum_{k>=j} w_k, j = 0..K-1
+    lgam: np.ndarray  # lnGamma(rho + k), k = 0..K-1
+    tail: float  # bound on the weight mass cut off, in [0, TAIL_TARGET]
 
 
 @dataclass(frozen=True)
@@ -127,13 +146,14 @@ class GammaConvolution:
 
     def cdf(self, x):
         """P(sum <= x); vectorized, clamped to [0, 1]."""
-        return _eval(self, np.asarray(x, dtype=float), _cdf_chunk)
+        return _eval(self, np.asarray(x, dtype=float), _cdf_block, 0)
 
     def density(self, x, order: int = 0):
         """Density (order 0) or its first/second x-derivative (order 1/2)."""
         if order not in (0, 1, 2):
             raise DomainError(f"order must be 0, 1 or 2, got {order!r}")
-        return _eval(self, np.asarray(x, dtype=float), lambda s, xs: _density_chunk(s, xs, order))
+        return _eval(self, np.asarray(x, dtype=float),
+                     lambda s, y, lo, hi: _density_block(s, y, lo, hi, order), order)
 
     def quantile(self, p: float) -> float:
         """Inverse CDF for 0 < p < 1, geometric bracket expansion + Brent."""
@@ -209,100 +229,118 @@ def _build_series(components: tuple[GammaComponent, ...]) -> _Series:
     scales = np.array([c.scale for c in components])
     beta1 = float(scales[0])
     rho = float(math.fsum(shapes))
-    q = 1.0 - beta1 / scales  # q[0] == 0 exactly
-    log_c0 = float(np.dot(shapes, np.log(beta1 / scales)))
+    p = beta1 / scales  # p[0] == 1: the first component is a point mass at 0
+    log_c0 = float(np.dot(shapes, np.log(p)))
     if log_c0 < _UNDERFLOW_LOG_FLOOR:
         raise ConvergenceError(
             "scale ratios too extreme for the series (leading weight underflows)")
-    cap = 1024
-    w = np.zeros(cap)
-    c = np.zeros(cap)
-    w[0] = math.exp(log_c0)
-    # Kahan-compensated running sum: tens of thousands of terms are common
-    # at deep scale ratios and naive accumulation floors out above the
-    # tail target from rounding alone.
-    total = w[0]
-    comp = 0.0
-    pw = shapes.copy()  # shapes * q^k, updated in place
-    k = 0
-    while 1.0 - total > TAIL_TARGET:
-        if k + 1 >= MAX_TERMS:
-            raise ConvergenceError(
-                f"series needs more than {MAX_TERMS} terms (tail {1.0 - total:.3e})")
-        if k + 1 >= cap:
-            cap = min(2 * cap, MAX_TERMS + 1)
-            w = np.concatenate([w, np.zeros(cap - len(w))])
-            c = np.concatenate([c, np.zeros(cap - len(c))])
-        pw *= q
-        c[k + 1] = pw.sum()
-        w[k + 1] = float(np.dot(c[1:k + 2], w[k::-1])) / (k + 1)
-        y = w[k + 1] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        k += 1
-    n_terms = k + 1
-    lgam = np.array([specfun.log_gamma(rho + j) for j in range(n_terms + 1)])
-    return _Series(beta1=beta1, rho=rho, weights=w[:n_terms].copy(),
-                   lgam=lgam, tail=max(0.0, 1.0 - total))
+    factors = list(zip(shapes[1:], p[1:]))
+    w = np.ones(1)
+    tail = 0.0
+    for shape, pj in factors:
+        n_j, sf = _nb_cut(shape, 1.0 - pj, TAIL_TARGET / len(factors))
+        if len(w) + n_j - 1 > MAX_TERMS:
+            raise ConvergenceError(f"series needs more than {MAX_TERMS} terms")
+        w = np.convolve(w, _nb_pmf(shape, pj, n_j))
+        tail += sf
+    lgam = gammaln(rho + np.arange(len(w)))
+    wbar = np.cumsum(w[::-1])[::-1]
+    return _Series(beta1=beta1, rho=rho, weights=w, wbar=wbar, lgam=lgam, tail=tail)
+
+
+def _nb_pmf(shape: float, p: float, n: int) -> np.ndarray:
+    """P(N = k), k = 0..n-1, for N ~ NB(shape, p), from logs:
+    C(k + shape - 1, k) = 1 / (k B(k, shape)) for k >= 1."""
+    k = np.arange(1.0, n)
+    log_pmf = shape * math.log(p) + k * math.log1p(-p) - np.log(k) - betaln(k, shape)
+    with np.errstate(under="ignore"):
+        return np.concatenate(([p ** shape], np.exp(log_pmf)))
+
+
+def _nb_cut(shape: float, q: float, target: float) -> tuple[int, float]:
+    """The least n with P(N >= n) <= target for N ~ NB(shape, 1 - q), and
+    that survival, betainc(n, shape, q)."""
+    mean = shape * q / (1.0 - q)
+    hi = int(mean + 10.0 * math.sqrt(mean / (1.0 - q)) + 10.0)
+    while betainc(hi, shape, q) > target:
+        if hi > MAX_TERMS:
+            raise ConvergenceError(f"series needs more than {MAX_TERMS} terms")
+        hi *= 2
+    lo = 0  # invariant: P(N >= lo) > target >= P(N >= hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if betainc(mid, shape, q) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi, float(betainc(hi, shape, q))
 
 
 # -- evaluation kernels ----------------------------------------------------
 
 
-def _eval(gc: GammaConvolution, xs: np.ndarray, kernel):
+def _eval(gc: GammaConvolution, xs: np.ndarray, kernel, order: int):
     scalar = xs.ndim == 0
     flat = np.atleast_1d(xs).astype(float).ravel()
     if not np.all(np.isfinite(flat)):
         raise DomainError("evaluation points must be finite")
     out = np.zeros(flat.shape)
-    pos = flat > 0.0
-    if np.any(pos):
-        series = gc._series
-        xp = flat[pos]
-        res = np.empty(xp.shape)
-        for start in range(0, len(xp), _EVAL_CHUNK):
-            sl = slice(start, start + _EVAL_CHUNK)
-            res[sl] = kernel(series, xp[sl])
-        out[pos] = res
+    pos = np.flatnonzero(flat > 0.0)
+    if pos.size:
+        s = gc._series
+        pos = pos[np.argsort(flat[pos], kind="stable")]
+        y = flat[pos] / s.beta1
+        for start in range(0, y.size, _BLOCK):
+            yb = y[start:start + _BLOCK]
+            lo, hi = _window(s, yb[0], yb[-1], order)
+            out[pos[start:start + _BLOCK]] = kernel(s, yb, lo, hi)
     if scalar:
         return float(out[0])
     return out.reshape(np.atleast_1d(xs).shape)
 
 
-def _cdf_chunk(s: _Series, xp: np.ndarray) -> np.ndarray:
-    y = xp / s.beta1
-    lny = np.log(y)
-    p0 = np.array([specfun.reg_lower_inc_gamma(s.rho, v) for v in y])
-    n_terms = len(s.weights)
-    if n_terms == 1:
-        return np.clip(p0, 0.0, 1.0)
-    karr = np.arange(1, n_terms)
-    # u_j = y^(rho+j-1) e^-y / Gamma(rho+j): ladder steps P(rho+j) = P(rho+j-1) - u_j
+def _window(s: _Series, y_lo: float, y_hi: float, order: int) -> tuple[int, int]:
+    """Term window [lo, hi] for a block spanning [y_lo, y_hi]: a normal-tail
+    guess, widened until the omitted ladder mass on each side is at most
+    _WINDOW_TAIL (see the module docstring)."""
+    last = len(s.weights) - 1
+    lo = int(min(max(y_lo - s.rho + 1.0 - 8.5 * math.sqrt(y_lo), 0.0), last))
+    hi = int(min(max(y_hi - s.rho + order + 8.5 * math.sqrt(y_hi) + 26.0, order), last))
+    step = 1 + int(min(math.sqrt(y_hi), last))
+    while lo >= 2 and gammaincc(s.rho + lo - 1, y_lo) > _WINDOW_TAIL:
+        lo = max(lo - step, 0)
+    while hi < last and gammainc(s.rho + hi - order, y_hi) > _WINDOW_TAIL:
+        hi = min(hi + step, last)
+    # the bound below covers terms 1..lo-1 only, so term 0 goes with term 1
+    return (0 if lo == 1 else lo), hi
+
+
+def _terms(s: _Series, lo: int, hi: int, y: np.ndarray) -> np.ndarray:
+    """u_j(y) = y^(rho+j-1) e^-y / Gamma(rho+j), j = lo..hi down the rows."""
+    a1 = s.rho - 1.0 + np.arange(lo, hi + 1)
     with np.errstate(under="ignore"):
-        steps = np.exp((s.rho - 1.0 + karr)[:, None] * lny[None, :]
-                       - y[None, :] - s.lgam[1:n_terms][:, None])
-    ladder = p0[None, :] - np.cumsum(steps, axis=0)
-    np.clip(ladder, 0.0, 1.0, out=ladder)
-    vals = s.weights[0] * p0 + s.weights[1:] @ ladder
+        return np.exp(a1[:, None] * np.log(y)[None, :] - y[None, :]
+                      - s.lgam[lo:hi + 1][:, None])
+
+
+def _cdf_block(s: _Series, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    vals = s.wbar[0] * gammainc(s.rho, y)
+    lo = max(lo, 1)
+    if lo <= hi:
+        vals -= s.wbar[lo:hi + 1] @ _terms(s, lo, hi, y)
     return np.clip(vals, 0.0, 1.0)
 
 
-def _density_chunk(s: _Series, xp: np.ndarray, order: int) -> np.ndarray:
-    y = xp / s.beta1
-    lny = np.log(y)
-    n_terms = len(s.weights)
-    karr = np.arange(n_terms)
-    with np.errstate(under="ignore"):
-        base = np.exp((s.rho - 1.0 + karr)[:, None] * lny[None, :]
-                      - y[None, :] - s.lgam[:n_terms][:, None])
+def _density_block(s: _Series, y: np.ndarray, lo: int, hi: int, order: int) -> np.ndarray:
+    base = _terms(s, lo, hi, y)
+    w = s.weights[lo:hi + 1]
     if order == 0:
-        return (s.weights @ base) / s.beta1
-    am1 = (s.rho - 1.0 + karr)[:, None]
+        return (w @ base) / s.beta1
+    am1 = (s.rho - 1.0 + np.arange(lo, hi + 1))[:, None]
     u = am1 / y[None, :] - 1.0
     if order == 1:
-        return (s.weights @ (base * u)) / s.beta1 ** 2
-    return (s.weights @ (base * (u * u - am1 / (y * y)[None, :]))) / s.beta1 ** 3
+        return (w @ (base * u)) / s.beta1 ** 2
+    return (w @ (base * (u * u - am1 / (y * y)[None, :]))) / s.beta1 ** 3
 
 
 # -- sampling --------------------------------------------------------------

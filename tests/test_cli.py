@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gammacross import cli, specfun
+from gammacross import cli, gconv
 
 
 def run(capsys, argv):
@@ -49,6 +49,21 @@ class TestCheck:
         ]
         assert payload["orders"]["eta_majorized_by_theta"] is True
         assert payload["orders"]["theta_st_below_eta"] is False
+
+    def test_order_predicates_computed_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = cli.st_dominates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "st_dominates", counting)
+        code, _, _ = run(capsys, ["check", "--alpha", "1.0", "--theta", "1,4",
+                                  "--eta", "2,3", "--out", str(tmp_path / "rep.json")])
+        assert code == 0
+        # one stochastic-order test each way, shared by stdout and the report
+        assert len(calls) == 2
 
     def test_hex_float_tokens(self, capsys):
         code_h, out_h, _ = run(capsys, ["check", "--alpha", "0x1p0",
@@ -159,8 +174,8 @@ class TestSweep:
 
 class TestSelftestFaultInjection:
     def test_corrupted_engine_exits_four(self, capsys, monkeypatch):
-        real = specfun.log_gamma
-        monkeypatch.setattr("gammacross.specfun.log_gamma",
+        real = gconv.gammaln
+        monkeypatch.setattr("gammacross.gconv.gammaln",
                             lambda a: real(a) + 0.05)
         code, out, _ = run(capsys, ["selftest", "--fast"])
         assert code == 4

@@ -1,12 +1,18 @@
 """Series engine: construction, evaluation, sampling, and the eCDF band."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import gammacross
+from gammacross.counterexample import build_counterexample
 from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import (
     MAX_TERMS,
@@ -17,6 +23,10 @@ from gammacross.gconv import (
     ecdf_band,
     h1_closed,
     h2_closed,
+    _cdf_block,
+    _density_block,
+    _terms,
+    _window,
     make_convolution,
 )
 from gammacross.specfun import reg_lower_inc_gamma
@@ -25,6 +35,12 @@ from gammacross.specfun import reg_lower_inc_gamma
 # scale ratio needing ~3e4 series terms, where naive weight accumulation
 # floors out above the tail target and the build used to die at the term cap
 STRESS_CDF_ORACLE = 0.842596899147632474149
+
+# four gamma(2.5, 1) components at mean series index ~211, where a weight sum
+# accumulated term by term stalls short of 1 - TAIL_TARGET
+STALL_SCALES = (float.fromhex("0x1.94e7caa1b0568p-7"), 1.0,
+                float.fromhex("0x1.00634b125aae3p-4"),
+                float.fromhex("0x1.25f9b4e5a7ebap-6"))
 
 
 class TestConstruction:
@@ -95,11 +111,20 @@ class TestEvaluation:
         assert_allclose(float(gc.cdf(1.0)), STRESS_CDF_ORACLE, rtol=0, atol=1e-12)
 
     def test_stress_series_converges_under_cap(self):
-        # regression: compensated weight accumulation must reach the tail
-        # target in ~3e4 terms; a plain running sum stalls at ~1 - 4e-14
+        # the truncation bound comes from the negative-binomial survival
+        # functions, not from a running weight sum, so ~3e4 terms suffice
         s = make_convolution(0.5, [0.001, 1.0])._series
         assert len(s.weights) < MAX_TERMS
         assert 0.0 <= s.tail <= TAIL_TARGET
+
+    def test_series_build_does_not_stall(self):
+        gc = make_convolution(2.5, STALL_SCALES)
+        s = gc._series
+        assert len(s.weights) < MAX_TERMS
+        assert 0.0 <= s.tail <= TAIL_TARGET
+        for x in (1.0, 2.7, 6.0):
+            total, _ = quad(gc.density, 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=200)
+            assert abs(float(gc.cdf(x)) - total) < 1e-11
 
     def test_underflow_raises(self):
         with pytest.raises(ConvergenceError):
@@ -163,6 +188,51 @@ class TestEvaluation:
             gc.density(1.0, order=3)
         with pytest.raises(DomainError):
             gc.cdf(np.array([1.0, math.inf]))
+
+
+class TestTermWindow:
+    """Windowed blocks against the same kernels summed over every term."""
+
+    def test_matches_full_series(self):
+        cert = build_counterexample(0.25)
+        for gc in (make_convolution(0.25, cert.theta), make_convolution(0.25, cert.eta),
+                   make_convolution(0.5, [0.001, 1.0])):
+            s = gc._series
+            last = len(s.weights) - 1
+            xs = np.linspace(gc.quantile(1e-12), gc.quantile(1.0 - 1e-12), 512)
+            cdf = gc.cdf(xs)
+            dens = [gc.density(xs, order) for order in (0, 1, 2)]
+            narrowed = 0
+            for start in range(0, xs.size, 64):
+                sl = slice(start, start + 64)
+                y = xs[sl] / s.beta1
+                lo, hi = _window(s, y[0], y[-1], 2)
+                narrowed += int(hi - lo < last)
+                full = _cdf_block(s, y, 0, last)
+                assert np.max(np.abs(cdf[sl] - full)) <= 1e-15
+                base = _terms(s, 0, last, y)
+                am1 = (s.rho - 1.0 + np.arange(last + 1))[:, None]
+                u = am1 / y - 1.0
+                for order, factor in enumerate((1.0, u, u * u - am1 / (y * y))):
+                    full = _density_block(s, y, 0, last, order)
+                    # scaled like the rounding of the sum: by the size of its terms
+                    magnitude = s.weights @ np.abs(base * factor) / s.beta1 ** (order + 1)
+                    assert np.all(np.abs(dens[order][sl] - full)
+                                  <= 1e-15 * np.maximum(1.0, magnitude))
+            assert narrowed >= 4
+
+
+class TestImport:
+    def test_scipy_stats_not_imported(self):
+        # scipy.stats costs about half a second of import time
+        src = str(Path(gammacross.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gammacross; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestQuantile:
