@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,11 +22,16 @@ from .counterexample import (
     build_counterexample,
     verify_certificate,
 )
-from .crossing import Classification, CrossingReport, sign_profile
+from .crossing import (
+    Classification,
+    CrossingReport,
+    perturbation_root_window,
+    sign_profile,
+)
 from .errors import DomainError, GammaCrossError, SearchExhaustedError
 from .gconv import make_convolution
 from .instances import random_majorized_pair
-from .orders import log_majorizes, majorizes, st_dominates, v_majorizes
+from .orders import log_majorizes, majorizes, st_dominates, st_grid, v_majorizes
 
 __all__ = ["main"]
 
@@ -104,6 +107,7 @@ def _order_predicates(rep: CrossingReport) -> dict:
     th, et, a = list(rep.theta), list(rep.eta), rep.alpha
     gt = make_convolution(a, th)
     ge = make_convolution(a, et)
+    grid = st_grid(gt, ge)
     return {
         "eta_majorized_by_theta": majorizes(th, et),
         "theta_majorized_by_eta": majorizes(et, th),
@@ -112,8 +116,8 @@ def _order_predicates(rep: CrossingReport) -> dict:
         "log_theta_majorized_by_log_eta": (
             all(v > 0 for v in th + et) and log_majorizes(et, th)),
         "v_witness_theta_over_eta": v_majorizes(th, et) is not None,
-        "theta_st_below_eta": st_dominates(gt, ge),
-        "eta_st_below_theta": st_dominates(ge, gt),
+        "theta_st_below_eta": st_dominates(gt, ge, grid=grid),
+        "eta_st_below_theta": st_dominates(ge, gt, grid=grid),
     }
 
 
@@ -189,7 +193,6 @@ def _sweep_trial(trial_id: int, alpha: float, n: int, seed: int, args, near_cert
         if trial_id == 0:
             eps, delta = near_cert.eps, near_cert.delta
         theta, eta, _ = _construction(eps, near_cert.lam, delta)
-        from .crossing import perturbation_root_window
         seed_window = perturbation_root_window(theta, alpha)
     else:
         theta, eta = random_majorized_pair(rng, n)
@@ -204,12 +207,11 @@ def _sweep_trial(trial_id: int, alpha: float, n: int, seed: int, args, near_cert
         ms = ";".join(_hex(c.margin) for c in rep.crossings)
     except GammaCrossError as exc:
         label, k, xs, ms = f"ERROR({type(exc).__name__})", 0, "", ""
-    row = ",".join([
+    return ",".join([
         str(trial_id), _hex(alpha), str(len(theta)),
         ";".join(_hex(v) for v in theta), ";".join(_hex(v) for v in eta),
         label, str(k), xs, ms, str(seed),
     ])
-    return trial_id, row
 
 
 def cmd_sweep(args) -> int:
@@ -229,25 +231,9 @@ def cmd_sweep(args) -> int:
             print("--near-counterexample instances are 3-component", file=sys.stderr)
             return 1
         near_cert = build_counterexample(alphas[0])
-    jobs = []
-    trial_id = 0
-    for a in alphas:
-        for n in ns:
-            for _ in range(args.trials):
-                jobs.append((trial_id, a, n))
-                trial_id += 1
-    workers = min(32, os.cpu_count() or 1)
-    env_cap = os.environ.get("UCC_THREADS")
-    if env_cap:
-        workers = max(1, min(workers, int(env_cap)))
-    rows = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_trial, tid, a, n, args.seed, args, near_cert)
-                   for tid, a, n in jobs]
-        for fut in futures:
-            tid, row = fut.result()
-            rows[tid] = row
-    lines = [_CSV_HEADER] + [rows[tid] for tid in sorted(rows)]
+    jobs = [(a, n) for a in alphas for n in ns for _ in range(args.trials)]
+    lines = [_CSV_HEADER] + [_sweep_trial(tid, a, n, args.seed, args, near_cert)
+                             for tid, (a, n) in enumerate(jobs)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

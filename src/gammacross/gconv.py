@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaincinv, gammaln
 
 from .errors import ConvergenceError, DomainError
 
@@ -62,8 +62,9 @@ __all__ = [
 TAIL_TARGET = 1e-14
 MAX_TERMS = 100_000
 _SCALE_MERGE_RTOL = 1e-12
-_BRACKET_MAX_ITER = 200
 _UNDERFLOW_LOG_FLOOR = -700.0
+_EPS4 = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # points per evaluation block, and the ladder mass a term window may omit
 _BLOCK = 64
 _WINDOW_TAIL = 1e-16
@@ -156,29 +157,39 @@ class GammaConvolution:
                      lambda s, y, lo, hi: _density_block(s, y, lo, hi, order), order)
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF for 0 < p < 1, geometric bracket expansion + Brent."""
+        """Inverse CDF for 0 < p < 1.
+
+        The sum lies between beta_min G and beta_max G, G ~ gamma(rho, 1), so
+        the quantile lies in [beta_min g, beta_max g], g = gammaincinv(rho, p).
+        Brent's method solves on that bracket, in the form that is nearly
+        linear there: log F(e^t) = log p in t = log x for p < 1/2, since
+        F ~ c x^rho near zero, and log(1 - F(x)) = log(1 - p) in x otherwise,
+        since 1 - F decays exponentially.  Where rounding puts both bracket
+        ends on one side of p (near-tied scales), the end nearer p is
+        returned.  ConvergenceError if the bracket leaves the double range.
+        """
         p = float(p)
         if not (0.0 < p < 1.0):
             raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
-        lo = max(self.mean * 1e-3, 5e-300)
-        hi = self.mean + 10.0 * math.sqrt(self.variance)
-        it = 0
-        while float(self.cdf(lo)) >= p:
-            lo /= 8.0
-            it += 1
-            if it > _BRACKET_MAX_ITER:
-                raise ConvergenceError(f"quantile bracket search failed at p={p}")
-        it = 0
-        while float(self.cdf(hi)) <= p:
-            hi *= 2.0
-            it += 1
-            if it > _BRACKET_MAX_ITER:
-                raise ConvergenceError(f"quantile bracket search failed at p={p}")
-        root = brentq(lambda t: float(self.cdf(t)) - p, lo, hi,
-                      xtol=5e-280, rtol=4 * np.finfo(float).eps, maxiter=200)
-        if abs(float(self.cdf(root)) - p) > 1e-10:
-            raise ConvergenceError(f"quantile did not meet tolerance at p={p}")
-        return float(root)
+        g = float(gammaincinv(self.total_shape, p))
+        lo, hi = self.components[0].scale * g, self.components[-1].scale * g
+        if not (0.0 < lo and math.isfinite(hi)):
+            raise ConvergenceError(f"quantile bracket outside the double range at p={p}")
+        if lo == hi:
+            return lo
+        if p < 0.5:  # solve in t = log x, to relative accuracy in x
+            a, b, xtol = math.log(lo), math.log(hi), _EPS4
+            log_p = math.log(p)
+            f = lambda t: _log(self.cdf(math.exp(t))) - log_p
+        else:
+            a, b, xtol = lo, hi, _TINY
+            log_q = math.log1p(-p)
+            f = lambda x: _log(1.0 - self.cdf(x)) - log_q
+        try:
+            root = brentq(f, a, b, xtol=xtol, rtol=_EPS4)
+        except ValueError:  # rounding put both bracket ends on one side
+            root = min((a, b), key=lambda v: abs(f(v)))
+        return min(max(math.exp(root), lo), hi) if p < 0.5 else root
 
     def sample(self, n: int, seed) -> np.ndarray:
         """n independent draws, deterministic given seed."""
@@ -277,6 +288,12 @@ def _nb_cut(shape: float, q: float, target: float) -> tuple[int, float]:
 
 
 # -- evaluation kernels ----------------------------------------------------
+
+
+def _log(v: float) -> float:
+    """log v, floored at the log of the least normal double so that Brent's
+    method sees a finite value where a probability underflows to 0."""
+    return math.log(max(v, _TINY))
 
 
 def _eval(gc: GammaConvolution, xs: np.ndarray, kernel, order: int):

@@ -28,6 +28,7 @@ __all__ = [
     "VMajWitness",
     "v_majorizes",
     "v_majorizes_brute",
+    "st_grid",
     "st_dominates",
     "star_order_check",
     "slr_check",
@@ -243,16 +244,20 @@ def v_majorizes_brute(theta, eta, step: float) -> bool:
     return False
 
 
+def st_grid(a: GammaConvolution, b: GammaConvolution) -> np.ndarray:
+    """Default grid of `st_dominates`: 512 log-spaced points spanning the
+    (1e-9, 1 - 1e-9) quantile range of both distributions.  Symmetric in
+    its arguments, so one grid serves both directions of a comparison."""
+    lo = min(a.quantile(1e-9), b.quantile(1e-9))
+    hi = max(a.quantile(1.0 - 1e-9), b.quantile(1.0 - 1e-9))
+    return np.geomspace(lo, hi, 512)
+
+
 def st_dominates(lower: GammaConvolution, upper: GammaConvolution,
                  grid=None, tol: float = 1e-8) -> bool:
     """True iff F_lower(x) >= F_upper(x) - tol on the grid (i.e. `lower` is
-    stochastically smaller).  Default grid: 512 log-spaced points spanning
-    the (1e-9, 1 - 1e-9) quantile range of both distributions."""
-    if grid is None:
-        lo = min(lower.quantile(1e-9), upper.quantile(1e-9))
-        hi = max(lower.quantile(1.0 - 1e-9), upper.quantile(1.0 - 1e-9))
-        grid = np.geomspace(lo, hi, 512)
-    grid = np.asarray(grid, dtype=float)
+    stochastically smaller); the default grid is `st_grid(lower, upper)`."""
+    grid = np.asarray(st_grid(lower, upper) if grid is None else grid, dtype=float)
     return bool(np.all(lower.cdf(grid) >= upper.cdf(grid) - tol))
 
 

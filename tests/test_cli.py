@@ -137,14 +137,6 @@ class TestSweep:
         # floats ship as hex strings in the data columns
         assert all(row.split(",")[1].startswith("0x") for row in lines[1:])
 
-    def test_thread_count_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("UCC_THREADS", "1")
-        assert run(capsys, self.ARGS + ["--out", str(p1)])[0] == 0
-        monkeypatch.setenv("UCC_THREADS", "32")
-        assert run(capsys, self.ARGS + ["--out", str(p2)])[0] == 0
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_zero_trials_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["sweep", "--alpha", "1.0", "--n", "2",
                                     "--trials", "0", "--seed", "1"])

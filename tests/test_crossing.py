@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from gammacross import crossing
+from gammacross.counterexample import build_counterexample
 from gammacross.crossing import (
     Classification,
     Sign,
@@ -16,6 +18,7 @@ from gammacross.crossing import (
     sign_profile,
     tail_sign,
     u_star,
+    _runs,
 )
 from gammacross.errors import DomainError
 from gammacross.gconv import make_convolution
@@ -161,6 +164,86 @@ class TestSignProfile:
             sign_profile([1.0, 2.0], [1.0, 2.0, 3.0], 1.0)
         with pytest.raises(DomainError):
             sign_profile([1.0, 2.0], [1.0, 2.0], -1.0)
+
+
+def runs_by_walk(signs, d):
+    # the point-by-point walk _runs replaced; the reference for its output
+    runs = []
+    for i, s in enumerate(signs):
+        if s == 0:
+            continue
+        if runs and runs[-1][0] == s and runs[-1][2] == i - 1:
+            runs[-1][2] = i
+            runs[-1][3] = max(runs[-1][3], abs(float(d[i])))
+        else:
+            runs.append([int(s), i, i, abs(float(d[i]))])
+    return [tuple(r) for r in runs]
+
+
+class TestRuns:
+    def test_matches_the_walk_on_random_sign_vectors(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(0, 80))
+            p_zero = float(rng.uniform(0.0, 0.6))
+            p_plus = float(rng.uniform(0.0, 1.0)) * (1.0 - p_zero)
+            signs = rng.choice([-1, 0, 1], size=n,
+                               p=[1.0 - p_zero - p_plus, p_zero, p_plus])
+            d = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 0.0, n))
+            got = [(r.sign, r.first, r.last, r.peak) for r in _runs(signs, d)]
+            assert got == runs_by_walk(signs, d)
+
+
+class TestCrossingLocation:
+    CHECK_FIXTURES = [
+        (1.0, (1.0, 4.0), (2.0, 3.0)),
+        (2.0, (0.3, 0.9, 2.5), (0.8, 1.0, 1.9)),
+        (1.5, (0.5, 1.25, 3.0), (1.0, 1.5, 2.25)),
+        (3.0, (0.2, 0.7, 1.1, 2.6, 3.4), (0.6, 1.0, 1.5, 2.2, 2.7)),
+    ]
+
+    @staticmethod
+    def bisect(d, a, b):
+        left = d(a) > 0.0
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            if m in (a, b):
+                break
+            if (d(m) > 0.0) == left:
+                a = m
+            else:
+                b = m
+        return 0.5 * (a + b)
+
+    def test_brent_inside_bracket_agrees_with_bisection(self, monkeypatch):
+        cert = build_counterexample(0.25)
+        cases = [(a, t, e, None) for a, t, e in self.CHECK_FIXTURES]
+        cases.append((0.25, cert.theta, cert.eta,
+                      perturbation_root_window(cert.theta, 0.25)))
+        real = crossing.brentq
+        for alpha, theta, eta, seed_window in cases:
+            brackets = []
+
+            def recording(f, a, b, **kwargs):
+                brackets.append((a, b))
+                return real(f, a, b, **kwargs)
+
+            monkeypatch.setattr(crossing, "brentq", recording)
+            rep = sign_profile(theta, eta, alpha, seed_window=seed_window)
+            assert rep.classification is not Classification.UNDECIDED
+            assert len(brackets) == rep.n_crossings >= 1
+            gt, ge = make_convolution(alpha, theta), make_convolution(alpha, eta)
+
+            def d(x):
+                return float(ge.cdf(x) - gt.cdf(x))
+
+            for (a, b), c in zip(brackets, rep.crossings):
+                x = c.location
+                assert a < x < b
+                assert abs(x - self.bisect(d, a, b)) <= 1e-10 * x
+                before, after = (-1.0, 1.0) if c.direction == "-+" else (1.0, -1.0)
+                assert before * d(x * (1.0 - 1e-6)) > 0.0
+                assert after * d(x * (1.0 + 1e-6)) > 0.0
 
 
 class TestPerturbationRootWindow:

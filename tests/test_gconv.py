@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import gammaincinv
 
 import gammacross
+from gammacross import cli, gconv
 from gammacross.counterexample import build_counterexample
 from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import (
@@ -258,6 +260,71 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(DomainError):
                 gc.quantile(p)
+
+    def test_relative_accuracy_in_the_lower_tail(self):
+        # F ~ c x^rho near zero, and Brent on log F in log x keeps its
+        # relative accuracy; at alpha = 0.02 the quantile is near 1e-201
+        pair = make_convolution(0.5, [1e-3, 1.0])
+        deep = make_convolution(0.02, [0.05, 0.1, 1.0])
+        for gc in (pair, deep):
+            for p in (1e-12, 1e-9):
+                assert abs(gc.cdf(gc.quantile(p)) / p - 1.0) <= 1e-12
+        assert 1e-202 < deep.quantile(1e-12) < 1e-200
+
+    def test_underflowing_bracket_is_a_typed_error(self):
+        # the quantile lies below the smallest double, and so does its bracket
+        with pytest.raises(ConvergenceError):
+            make_convolution(0.01, [0.05, 0.1, 1.0]).quantile(1e-12)
+
+    def test_near_tied_scales_and_single_component(self, monkeypatch):
+        raised = []
+        real = gconv.brentq
+
+        def recording(f, a, b, **kwargs):
+            try:
+                return real(f, a, b, **kwargs)
+            except ValueError:
+                raised.append((a, b))
+                raise
+
+        monkeypatch.setattr(gconv, "brentq", recording)
+        for weights in ([1.0, 1.0 + 1e-11], [1.0]):
+            gc = make_convolution(1.0, weights)
+            shape = gc.total_shape
+            for p in (1e-12, 0.5, 1.0 - 2.5e-12, 1.0 - 1e-12):
+                q = gc.quantile(p)
+                assert_allclose(q, gammaincinv(shape, p), rtol=1e-5)
+                assert abs(float(gc.cdf(q)) - p) <= 1e-15
+        # at p = 1 - 2.5e-12 the near-tied bracket is narrower than the
+        # rounding of 1 - F, and both of its ends fall on one side of p
+        assert raised
+
+    def test_within_the_gamma_bracket(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            gc = make_convolution(float(rng.uniform(0.1, 3.0)),
+                                  rng.uniform(0.05, 3.0, int(rng.integers(1, 6))))
+            lo, hi = gc.components[0].scale, gc.components[-1].scale
+            for p in (1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-9):
+                g = float(gammaincinv(gc.total_shape, p))
+                assert lo * g <= gc.quantile(p) <= hi * g
+
+    def test_quantile_calls_per_check(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = GammaConvolution.quantile
+
+        def counting(self, p):
+            calls.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(GammaConvolution, "quantile", counting)
+        code = cli.main(["check", "--alpha", "1.0", "--theta", "1,4", "--eta", "2,3",
+                         "--out", str(tmp_path / "rep.json")])
+        capsys.readouterr()
+        assert code == 0
+        # the scan window (4) and one stochastic-order grid shared by both
+        # directions (4)
+        assert len(calls) == 8
 
 
 class TestSampling:
