@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import densities
 from .counterexample import build_counterexample, verify_certificate
@@ -39,6 +40,7 @@ from .orders import st_dominates, star_order_check, v_majorizes, v_majorizes_bru
 __all__ = ["CriterionResult", "run_acceptance", "run_selftest", "FAST_CRITERIA"]
 
 FAST_CRITERIA = (1, 5, 6, 7, 10)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -319,19 +321,8 @@ def criterion_10() -> CriterionResult:
             bad_count += 1
             continue
         j = int(flips[0])
-        a_, b_ = float(grid[j]), float(grid[j + 1])
-        fa = h_diff(th, et, a, a_)
-        for _ in range(80):
-            mid = 0.5 * (a_ + b_)
-            fm = h_diff(th, et, a, mid)
-            if fm == 0.0:
-                a_ = b_ = mid
-                break
-            if (fm > 0.0) == (fa > 0.0):
-                a_, fa = mid, fm
-            else:
-                b_ = mid
-        worst = max(worst, abs(0.5 * (a_ + b_) - us))
+        loc = brentq(lambda u: h_diff(th, et, a, u), grid[j], grid[j + 1], xtol=_TINY)
+        worst = max(worst, abs(loc - us))
     ok = bad_count == 0 and worst < 1e-8
     detail = f"multi-change configs={bad_count}/100; worst |location - pivot|={worst:.2e}"
     return _finish(10, "pivot localization", t0, 120.0, ok, detail)

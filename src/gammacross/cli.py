@@ -9,17 +9,17 @@ hex-float strings so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
+from ._hexjson import dumps, hex_float, parse_float
 from ._version import ENGINE_VERSION
 from .acceptance import run_selftest
 from .counterexample import (
     CounterexampleCertificate,
-    _construction,
     build_counterexample,
+    construction,
     verify_certificate,
 )
 from .crossing import (
@@ -44,63 +44,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_float_token(tok: str) -> float:
-    tok = tok.strip()
-    try:
-        if tok.lower().lstrip("+-").startswith("0x"):
-            return float.fromhex(tok)
-        return float(tok)
-    except ValueError:
-        raise DomainError(f"cannot parse number {tok!r}")
-
-
 def _parse_vector(text: str) -> list[float]:
-    vals = [_parse_float_token(t) for t in text.split(",") if t.strip()]
+    vals = [parse_float(t) for t in text.split(",") if t.strip()]
     if not vals:
         raise DomainError("empty weight list")
     return vals
 
 
-def _hex(x: float) -> str:
-    return float(x).hex()
-
-
-def _report_payload(rep: CrossingReport, orders: dict, seed=None) -> dict:
+def _report_json(rep: CrossingReport, orders: dict) -> str:
+    fields = {
+        "alpha": rep.alpha,
+        "theta": list(rep.theta),
+        "eta": list(rep.eta),
+        "window": list(rep.window),
+        "error_estimate": rep.error_estimate,
+        "crossings": [
+            {"x": c.location, "direction": c.direction, "margin": c.margin}
+            for c in rep.crossings
+        ],
+    }
     payload = {
+        **fields,
         "command": "check",
         "engine_version": ENGINE_VERSION,
-        "alpha": _hex(rep.alpha),
-        "theta": [_hex(v) for v in rep.theta],
-        "eta": [_hex(v) for v in rep.eta],
         "grid_size": rep.grid_size,
-        "tol": _hex(rep.tol),
-        "seed": seed,
-        "window": [_hex(rep.window[0]), _hex(rep.window[1])],
+        "tol": rep.tol,
+        "seed": None,
         "classification": rep.label,
         "sign_sequence": list(rep.sign_sequence),
         "near_zero": rep.near_zero,
         "tail": rep.tail,
-        "tail_rigorous": rep.tail_rigorous,
-        "error_estimate": _hex(rep.error_estimate),
         "notes": list(rep.notes),
-        "crossings": [
-            {"x": _hex(c.location), "direction": c.direction, "margin": _hex(c.margin)}
-            for c in rep.crossings
-        ],
         "orders": orders,
-        "decimal": {
-            "alpha": rep.alpha,
-            "theta": list(rep.theta),
-            "eta": list(rep.eta),
-            "window": list(rep.window),
-            "error_estimate": rep.error_estimate,
-            "crossings": [
-                {"x": c.location, "direction": c.direction, "margin": c.margin}
-                for c in rep.crossings
-            ],
-        },
     }
-    return payload
+    return dumps(payload, fields)
 
 
 def _order_predicates(rep: CrossingReport) -> dict:
@@ -121,8 +98,7 @@ def _order_predicates(rep: CrossingReport) -> dict:
     }
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -139,15 +115,14 @@ def cmd_check(args) -> int:
     for c in rep.crossings:
         print(f"crossing at x={c.location:.12g} direction {c.direction} "
               f"margin {c.margin:.3e}")
-    print(f"near-zero sign: {rep.near_zero}   tail sign: {rep.tail}"
-          f"{' (rigorous)' if rep.tail_rigorous else ' (heuristic)'}")
+    print(f"near-zero sign: {rep.near_zero}   tail sign: {rep.tail}")
     for note in rep.notes:
         print(f"note: {note}")
     orders = _order_predicates(rep)
     for key, val in orders.items():
         print(f"{key}: {val}")
     if args.out:
-        _dump_json(_report_payload(rep, orders), args.out)
+        _write(_report_json(rep, orders), args.out)
         print(f"report written to {args.out}")
     return 2 if rep.classification is Classification.UNDECIDED else 0
 
@@ -164,13 +139,9 @@ def cmd_counterexample(args) -> int:
     except SearchExhaustedError as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
-    text = cert.to_json()
+    _write(cert.to_json(), args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(f"certificate written to {args.out}")
-    else:
-        sys.stdout.write(text)
     print(f"classification MULTI({len(cert.crossings)}) at eps={cert.eps:.6g} "
           f"delta={cert.delta:.6g}")
     return 0
@@ -192,7 +163,7 @@ def _sweep_trial(trial_id: int, alpha: float, n: int, seed: int, args, near_cert
         delta = eps * float(rng.uniform(0.35, 0.65))
         if trial_id == 0:
             eps, delta = near_cert.eps, near_cert.delta
-        theta, eta, _ = _construction(eps, near_cert.lam, delta)
+        theta, eta, _ = construction(eps, near_cert.lam, delta)
         seed_window = perturbation_root_window(theta, alpha)
     else:
         theta, eta = random_majorized_pair(rng, n)
@@ -203,19 +174,19 @@ def _sweep_trial(trial_id: int, alpha: float, n: int, seed: int, args, near_cert
                            tol=args.tol, seed_window=seed_window)
         label = rep.label
         k = rep.n_crossings
-        xs = ";".join(_hex(c.location) for c in rep.crossings)
-        ms = ";".join(_hex(c.margin) for c in rep.crossings)
+        xs = ";".join(hex_float(c.location) for c in rep.crossings)
+        ms = ";".join(hex_float(c.margin) for c in rep.crossings)
     except GammaCrossError as exc:
         label, k, xs, ms = f"ERROR({type(exc).__name__})", 0, "", ""
     return ",".join([
-        str(trial_id), _hex(alpha), str(len(theta)),
-        ";".join(_hex(v) for v in theta), ";".join(_hex(v) for v in eta),
+        str(trial_id), hex_float(alpha), str(len(theta)),
+        ";".join(hex_float(v) for v in theta), ";".join(hex_float(v) for v in eta),
         label, str(k), xs, ms, str(seed),
     ])
 
 
 def cmd_sweep(args) -> int:
-    alphas = [_parse_float_token(t) for t in args.alpha.split(",") if t.strip()]
+    alphas = [parse_float(t) for t in args.alpha.split(",") if t.strip()]
     ns = [int(t) for t in args.n.split(",") if t.strip()]
     if not alphas or not ns or args.trials <= 0:
         print("sweep needs a nonempty alpha list, n list, and positive trial count",
@@ -234,12 +205,7 @@ def cmd_sweep(args) -> int:
     jobs = [(a, n) for a in alphas for n in ns for _ in range(args.trials)]
     lines = [_CSV_HEADER] + [_sweep_trial(tid, a, n, args.seed, args, near_cert)
                              for tid, (a, n) in enumerate(jobs)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     print(f"sweep: {len(jobs)} rows, seed={args.seed}, grid_size={args.grid_size}, "
           f"tol={args.tol:.3g}, engine={ENGINE_VERSION}", file=sys.stderr)
     return 0
@@ -255,19 +221,19 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="classify the sign changes of a CDF pair")
-    c.add_argument("--alpha", type=_parse_float_token, required=True,
+    c.add_argument("--alpha", type=parse_float, required=True,
                    help="common shape parameter")
     c.add_argument("--theta", required=True, help="comma-separated weights")
     c.add_argument("--eta", required=True, help="comma-separated weights")
     c.add_argument("--grid-size", type=int, default=2048)
-    c.add_argument("--tol", type=_parse_float_token, default=1e-8)
+    c.add_argument("--tol", type=parse_float, default=1e-8)
     c.add_argument("--out", help="write a JSON report here")
     c.set_defaults(fn=cmd_check)
 
     x = sub.add_parser("counterexample",
                        help="construct a triple-crossing certificate (shape < 1)")
-    x.add_argument("--alpha", type=_parse_float_token, required=True)
-    x.add_argument("--x0", type=_parse_float_token, default=None)
+    x.add_argument("--alpha", type=parse_float, required=True)
+    x.add_argument("--x0", type=parse_float, default=None)
     x.add_argument("--budget", type=int, default=40)
     x.add_argument("--out", help="write the certificate JSON here")
     x.set_defaults(fn=cmd_counterexample)
@@ -275,7 +241,7 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="re-verify a certificate from scratch")
     v.add_argument("--cert", required=True, help="certificate JSON path")
     v.add_argument("--grid-factor", type=int, default=2)
-    v.add_argument("--tol-factor", type=_parse_float_token, default=0.5)
+    v.add_argument("--tol-factor", type=parse_float, default=0.5)
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("sweep", help="seeded randomized classification sweep (CSV)")
@@ -284,7 +250,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--grid-size", type=int, default=2048)
-    s.add_argument("--tol", type=_parse_float_token, default=1e-8)
+    s.add_argument("--tol", type=parse_float, default=1e-8)
     s.add_argument("--out", help="write CSV here (default stdout)")
     s.add_argument("--near-counterexample", action="store_true",
                    help="sample perturbations of a fresh certificate")

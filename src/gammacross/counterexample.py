@@ -25,8 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import densities
+from ._hexjson import dumps, parse_float
 from ._version import ENGINE_VERSION
 from .crossing import (Classification, Crossing, CrossingReport,
                        perturbation_root_window, sign_profile)
@@ -36,6 +38,7 @@ from .orders import majorizes
 
 __all__ = [
     "CounterexampleCertificate",
+    "construction",
     "build_counterexample",
     "ClauseResult",
     "VerificationReport",
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 40
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -65,55 +69,37 @@ class CounterexampleCertificate:
         return len(self.crossings)
 
     def to_json(self) -> str:
-        def hexf(v: float) -> str:
-            return float(v).hex()
-
-        payload = {
-            "alpha": hexf(self.alpha),
-            "lambda": hexf(self.lam),
-            "x0": hexf(self.x0),
-            "w": hexf(self.w),
-            "eps": hexf(self.eps),
-            "delta": hexf(self.delta),
-            "theta": [hexf(v) for v in self.theta],
-            "eta": [hexf(v) for v in self.eta],
+        fields = {
+            "alpha": self.alpha, "lambda": self.lam, "x0": self.x0, "w": self.w,
+            "eps": self.eps, "delta": self.delta,
+            "theta": list(self.theta), "eta": list(self.eta),
             "crossings": [
-                {"x": hexf(c.location), "direction": c.direction, "margin": hexf(c.margin)}
+                {"x": c.location, "direction": c.direction, "margin": c.margin}
                 for c in self.crossings
             ],
-            "tolerances": {"tol": hexf(self.tol), "grid_size": self.grid_size},
-            "engine_version": self.engine_version,
-            "decimal": {
-                "alpha": self.alpha, "lambda": self.lam, "x0": self.x0, "w": self.w,
-                "eps": self.eps, "delta": self.delta,
-                "theta": list(self.theta), "eta": list(self.eta),
-                "crossings": [
-                    {"x": c.location, "direction": c.direction, "margin": c.margin}
-                    for c in self.crossings
-                ],
-                "tol": self.tol,
-            },
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload = {**fields, "tolerances": {"tol": self.tol, "grid_size": self.grid_size},
+                   "engine_version": self.engine_version}
+        return dumps(payload, {**fields, "tol": self.tol})
 
     @classmethod
     def from_json(cls, text: str) -> "CounterexampleCertificate":
-        raw = json.loads(text)
         try:
+            raw = json.loads(text)
             crossings = tuple(
-                Crossing(_parse_float(c["x"]), str(c["direction"]), _parse_float(c["margin"]))
+                Crossing(parse_float(c["x"]), str(c["direction"]), parse_float(c["margin"]))
                 for c in raw["crossings"])
             return cls(
-                alpha=_parse_float(raw["alpha"]),
-                lam=_parse_float(raw["lambda"]),
-                x0=_parse_float(raw["x0"]),
-                w=_parse_float(raw["w"]),
-                eps=_parse_float(raw["eps"]),
-                delta=_parse_float(raw["delta"]),
-                theta=tuple(_parse_float(v) for v in raw["theta"]),
-                eta=tuple(_parse_float(v) for v in raw["eta"]),
+                alpha=parse_float(raw["alpha"]),
+                lam=parse_float(raw["lambda"]),
+                x0=parse_float(raw["x0"]),
+                w=parse_float(raw["w"]),
+                eps=parse_float(raw["eps"]),
+                delta=parse_float(raw["delta"]),
+                theta=tuple(parse_float(v) for v in raw["theta"]),
+                eta=tuple(parse_float(v) for v in raw["eta"]),
                 crossings=crossings,
-                tol=_parse_float(raw["tolerances"]["tol"]),
+                tol=parse_float(raw["tolerances"]["tol"]),
                 grid_size=int(raw["tolerances"]["grid_size"]),
                 engine_version=str(raw.get("engine_version", ENGINE_VERSION)),
             )
@@ -121,18 +107,11 @@ class CounterexampleCertificate:
             raise DomainError(f"malformed certificate: {exc}") from exc
 
 
-def _parse_float(v) -> float:
-    if isinstance(v, str):
-        try:
-            return float.fromhex(v)
-        except ValueError:
-            return float(v)
-    return float(v)
-
-
-def _construction(eps: float, lam: float, delta: float | None = None,
-                  ) -> tuple[tuple[float, float, float],
-                             tuple[float, float, float], float]:
+def construction(eps: float, lam: float, delta: float | None = None,
+                 ) -> tuple[tuple[float, float, float],
+                            tuple[float, float, float], float]:
+    """(theta, eta, delta) of the construction at (eps, lam); delta
+    defaults to eps / 2."""
     if delta is None:
         delta = eps / 2.0
     theta = (eps - delta,
@@ -168,7 +147,7 @@ def build_counterexample(alpha: float, x0: float | None = None,
     eps = min(1.0 / (2.0 * lam), 0.25)
     best: CrossingReport | None = None
     for _ in range(int(search_budget)):
-        theta, eta, delta = _construction(eps, lam)
+        theta, eta, delta = construction(eps, lam)
         if min(theta) <= 0.0 or not majorizes(theta, eta):
             eps /= 2.0
             continue
@@ -206,14 +185,7 @@ def _half_width(alpha: float, lam: float, x0: float) -> float:
         x_next = float(grid[-1])
     else:
         j = pos[0] + neg_after[0]
-        lo_b, hi_b = float(grid[j - 1]), float(grid[j])
-        for _ in range(100):
-            mid = 0.5 * (lo_b + hi_b)
-            if float(sp(mid)) > 0.0:
-                lo_b = mid
-            else:
-                hi_b = mid
-        x_next = 0.5 * (lo_b + hi_b)
+        x_next = brentq(lambda x: float(sp(x)), grid[j - 1], grid[j], xtol=_TINY)
     w = 0.5 * (x_next - x0)
     for _ in range(20):
         if w > 0.0 and x0 - w > 0.0 and float(sp(x0 - w)) < 0.0 and float(sp(x0 + w)) > 0.0:
@@ -276,7 +248,7 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
     clause("eps_delta", 0.0 < cert.delta < cert.eps < 1.0 / cert.lam,
            f"eps={cert.eps!r} delta={cert.delta!r} 1/lambda={1.0 / cert.lam!r}")
 
-    theta_ref, eta_ref, _ = _construction(cert.eps, cert.lam, cert.delta)
+    theta_ref, eta_ref, _ = construction(cert.eps, cert.lam, cert.delta)
     vec_ok = (all(_close_ulp(x, y) for x, y in zip(theta_ref, cert.theta))
               and all(_close_ulp(x, y) for x, y in zip(eta_ref, cert.eta)))
     clause("vector_algebra", vec_ok and min(cert.theta) > 0.0,

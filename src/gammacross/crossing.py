@@ -7,11 +7,11 @@ the first and the first point of the second bracket a root of D, which
 Brent's method locates to relative accuracy 1e-10.  Endpoint behavior is
 pinned analytically: near zero the sign of D equals the sign of
 prod(theta) - prod(eta) (the CDF ratio tends to a power of the product
-ratio), and in the far tail the largest scale wins, with ties broken by
-multiplicity.  A rigorous endpoint sign that contradicts the adjacent
-certified run, or any sub-tolerance zone between same-sign runs, downgrades
-the outcome to UNDECIDED; certified crossings are never silently invented
-or dropped.
+ratio), and in the far tail the largest scale wins, then its multiplicity,
+then the constant of the survival asymptotics.  An endpoint sign that
+contradicts the adjacent certified run, or any sub-tolerance zone between
+same-sign runs, downgrades the outcome to UNDECIDED; certified crossings
+are never silently invented or dropped.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import specfun
+from ._domain import check_alpha, check_pair, check_weights, check_window, tie_tol
 from .errors import DomainError
 from .gconv import GammaComponent, GammaConvolution, make_convolution
 from .orders import log_majorizes
@@ -43,7 +44,6 @@ __all__ = [
     "lemma2_residual",
 ]
 
-_RTOL = 1e-12
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_TOL = 1e-8
 _REFINE_PASSES = 3
@@ -97,7 +97,6 @@ class CrossingReport:
     error_estimate: float
     near_zero: str
     tail: str
-    tail_rigorous: bool
     notes: tuple[str, ...] = field(default=())
 
     @property
@@ -123,17 +122,6 @@ class CrossingReport:
                 raise DomainError("crossing margins must be positive")
 
 
-def _weights(name: str, w) -> np.ndarray:
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise DomainError(f"{name} must be nonnegative and finite")
-    if not np.any(arr > 0.0):
-        raise DomainError(f"{name} must have a positive entry")
-    return arr
-
-
 def near_zero_sign(theta, eta, alpha: float) -> Sign:
     """Sign of D = F_eta - F_theta as x -> 0+.
 
@@ -142,62 +130,49 @@ def near_zero_sign(theta, eta, alpha: float) -> Sign:
     it is validated and otherwise unused.  Product ties within relative
     1e-12 (compared in log space) give INDETERMINATE.
     """
-    t = _weights("theta", theta)
-    e = _weights("eta", eta)
-    if t.size != e.size:
-        raise DomainError("theta and eta must have equal length")
-    if not (float(alpha) > 0.0 and math.isfinite(float(alpha))):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    t, e = check_pair(theta, eta)
+    check_alpha(alpha)
+    return _near_zero(t, e)
+
+
+def _near_zero(t: np.ndarray, e: np.ndarray) -> Sign:
     lt = -math.inf if np.any(t == 0.0) else math.fsum(math.log(v) for v in t)
     le = -math.inf if np.any(e == 0.0) else math.fsum(math.log(v) for v in e)
     if lt == le:
         return Sign.INDETERMINATE
     if math.isinf(lt) or math.isinf(le):
         return Sign.PLUS if lt > le else Sign.MINUS
-    if abs(lt - le) <= _RTOL * max(1.0, abs(lt), abs(le)):
+    if abs(lt - le) <= tie_tol(lt, le):
         return Sign.INDETERMINATE
     return Sign.PLUS if lt > le else Sign.MINUS
 
 
-def _ties(a: float, b: float) -> bool:
-    return abs(a - b) <= _RTOL * max(1.0, abs(a), abs(b))
-
-
-def _tail_assessment(theta, eta) -> tuple[Sign, bool]:
-    """Tail sign of D with a rigor flag.
-
-    The largest scale dominates the tail; if the maxima tie, the one with
-    more components at the maximum has the heavier tail.  Both comparisons
-    are asymptotically rigorous.  Deeper ties fall back to a lexicographic
-    comparison of the remaining entries, which is only a heuristic (the true
-    tail constant involves products over the non-maximal scales); that
-    fallback is flagged non-rigorous so the scan can override it.
-    """
-    t = np.sort(_weights("theta", theta))[::-1]
-    e = np.sort(_weights("eta", eta))[::-1]
-    if not _ties(t[0], e[0]):
-        return (Sign.PLUS if t[0] > e[0] else Sign.MINUS), True
-    mt = int(np.sum([_ties(v, t[0]) for v in t]))
-    me = int(np.sum([_ties(v, e[0]) for v in e]))
-    if mt != me:
-        return (Sign.PLUS if mt > me else Sign.MINUS), True
-    for a, b in zip(t[mt:], e[me:]):
-        if not _ties(a, b):
-            return (Sign.PLUS if a > b else Sign.MINUS), False
-    if t.size != e.size:
-        rest_t, rest_e = t[mt:], e[me:]
-        if rest_t.size != rest_e.size:
-            longer = rest_t if rest_t.size > rest_e.size else rest_e
-            if np.any(longer > 0.0):
-                return (Sign.PLUS if rest_t.size > rest_e.size else Sign.MINUS), False
-    return Sign.INDETERMINATE, False
-
-
 def tail_sign(theta, eta) -> Sign:
-    """Sign of D = F_eta - F_theta as x -> +inf (ties resolved per the
-    max/multiplicity/lexicographic ladder; INDETERMINATE on full ties)."""
-    sign, _ = _tail_assessment(theta, eta)
-    return sign
+    """Sign of D = F_eta - F_theta as x -> +inf.
+
+    At common shape alpha, the survival function of sum(beta_j X_j) is
+    asymptotic to C Q(m alpha, x / beta), with beta the largest scale, m the
+    number of scales tied with it, Q the upper regularized incomplete gamma
+    function and C = prod over the other scales of (1 - beta_j / beta)^-alpha.
+    The heavier tail therefore has the larger beta, then the larger m, then
+    the larger C; alpha multiplies log C and never flips that comparison.
+    Each comparison uses the relative tie tolerance, and only a tie in all
+    three gives INDETERMINATE.
+    """
+    return _tail(check_weights("theta", theta), check_weights("eta", eta))
+
+
+def _tail(t: np.ndarray, e: np.ndarray) -> Sign:
+    def key(w: np.ndarray) -> tuple[float, int, float]:
+        top = float(w.max())
+        tied = np.abs(w - top) <= tie_tol(top)
+        # log C / alpha; zero weights contribute log1p(0) = 0
+        return top, int(tied.sum()), -math.fsum(np.log1p(-w[~tied] / top))
+
+    for a, b in zip(key(t), key(e)):
+        if abs(a - b) > tie_tol(a, b):
+            return Sign.PLUS if a > b else Sign.MINUS
+    return Sign.INDETERMINATE
 
 
 def perturbation_root_window(theta, alpha: float) -> tuple[float, float]:
@@ -205,10 +180,8 @@ def perturbation_root_window(theta, alpha: float) -> tuple[float, float]:
     comparisons: the supplemented densities are likelihood-ratio bracketed by
     gamma(n alpha + 2, min theta) and gamma(n alpha + 2, max theta), whose
     modes are (n alpha + 1) * scale."""
-    t = _weights("theta", theta)
-    a = float(alpha)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    t = check_weights("theta", theta)
+    a = check_alpha(alpha)
     pos = t[t > 0.0]
     factor = t.size * a + 1.0
     return float(factor * pos.min()), float(factor * pos.max())
@@ -252,17 +225,14 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
     assembles certified runs where |D| > tol.  `seed_window` adds grid
     density on an interval expected to contain crossings.
     """
-    t = _weights("theta", theta)
-    e = _weights("eta", eta)
-    if t.size != e.size:
-        raise DomainError("theta and eta must have equal length")
-    a = float(alpha)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    t, e = check_pair(theta, eta)
+    a = check_alpha(alpha)
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must be in (0, 1), got {tol!r}")
+    if window is not None:
+        lo, hi = check_window(window)
 
     gc_t = make_convolution(a, t)
     gc_e = make_convolution(a, e)
@@ -270,29 +240,20 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
     if window is None:
         lo = min(gc_t.quantile(1e-12), gc_e.quantile(1e-12))
         hi = max(gc_t.quantile(1.0 - 1e-12), gc_e.quantile(1.0 - 1e-12))
-    else:
-        lo, hi = float(window[0]), float(window[1])
-        if not (0.0 < lo < hi):
-            raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
+    near, tail = _near_zero(t, e), _tail(t, e)
 
     def base_report(classification, sign_sequence=(), crossings=(), notes=()):
-        near = near_zero_sign(t, e, a)
-        tail_s, tail_rig = _tail_assessment(t, e)
         return CrossingReport(
             theta=tuple(float(v) for v in t), eta=tuple(float(v) for v in e),
             alpha=a, window=(lo, hi), grid_size=grid_size, tol=tol,
             sign_sequence=tuple(sign_sequence), crossings=tuple(crossings),
             classification=classification, error_estimate=err_est,
-            near_zero=near.value, tail=tail_s.value, tail_rigorous=tail_rig,
-            notes=tuple(notes))
+            near_zero=near.value, tail=tail.value, notes=tuple(notes))
 
-    ts = np.sort(t)
-    es = np.sort(e)
-    if ts.size == es.size and np.all(np.abs(ts - es) <= _RTOL * np.maximum(1.0, np.abs(ts)))  :
+    if all(abs(u - v) <= tie_tol(u, v) for u, v in zip(np.sort(t), np.sort(e))):
         return base_report(Classification.NO_CROSSING,
                            notes=("identical weight multisets",))
 
-    near = near_zero_sign(t, e, a)
     if near is Sign.INDETERMINATE and np.all(t > 0.0) and np.all(e > 0.0):
         if log_majorizes(t, e) or log_majorizes(e, t):
             return base_report(Classification.NO_CROSSING,
@@ -330,28 +291,15 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
 
     signs = _classify_signs(d, tol)
     runs = _runs(signs, d)
-    tail_s, tail_rig = _tail_assessment(t, e)
 
-    notes: list[str] = []
-    undecided: list[str] = []
-    for r1, r2 in zip(runs, runs[1:]):
-        if r1.sign == r2.sign:
-            undecided.append(
-                f"sub-tolerance zone between same-sign runs near x={xs[r1.last]:.6g}")
+    undecided = [f"sub-tolerance zone between same-sign runs near x={xs[r1.last]:.6g}"
+                 for r1, r2 in zip(runs, runs[1:]) if r1.sign == r2.sign]
     if not runs:
         undecided.append("no certified sign anywhere in the window")
-    if runs and near is not Sign.INDETERMINATE:
-        first = Sign.PLUS if runs[0].sign > 0 else Sign.MINUS
-        if first is not near:
-            undecided.append("near-zero sign contradicts the first certified run")
-    if runs and tail_rig and tail_s is not Sign.INDETERMINATE:
-        last = Sign.PLUS if runs[-1].sign > 0 else Sign.MINUS
-        if last is not tail_s:
-            undecided.append("tail sign contradicts the last certified run")
-    if runs and not tail_rig and tail_s is not Sign.INDETERMINATE:
-        last = Sign.PLUS if runs[-1].sign > 0 else Sign.MINUS
-        if last is not tail_s:
-            notes.append("lexicographic tail heuristic overridden by the certified scan")
+    elif near is not Sign.INDETERMINATE and _sign(runs[0]) is not near:
+        undecided.append("near-zero sign contradicts the first certified run")
+    if runs and tail is not Sign.INDETERMINATE and _sign(runs[-1]) is not tail:
+        undecided.append("tail sign contradicts the last certified run")
 
     crossings: list[Crossing] = []
     for r1, r2 in zip(runs, runs[1:]):
@@ -363,18 +311,19 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
         crossings.append(Crossing(loc, direction, min(r1.peak, r2.peak)))
 
     if undecided:
-        return base_report(Classification.UNDECIDED, sign_sequence=_seq(runs),
-                           crossings=crossings, notes=tuple(notes + undecided))
-    if not crossings:
-        return base_report(Classification.NO_CROSSING, sign_sequence=_seq(runs),
-                           notes=tuple(notes))
-    if len(crossings) == 1:
+        cls = Classification.UNDECIDED
+    elif not crossings:
+        cls = Classification.NO_CROSSING
+    elif len(crossings) == 1:
         cls = (Classification.SINGLE_CROSSING_BELOW if crossings[0].direction == "-+"
                else Classification.SINGLE_CROSSING_ABOVE)
-        return base_report(cls, sign_sequence=_seq(runs), crossings=crossings,
-                           notes=tuple(notes))
-    return base_report(Classification.MULTI, sign_sequence=_seq(runs),
-                       crossings=crossings, notes=tuple(notes))
+    else:
+        cls = Classification.MULTI
+    return base_report(cls, sign_sequence=_seq(runs), crossings=crossings, notes=undecided)
+
+
+def _sign(run: _Run) -> Sign:
+    return Sign.PLUS if run.sign > 0 else Sign.MINUS
 
 
 def _seq(runs: Sequence[_Run]) -> tuple[str, ...]:
@@ -385,8 +334,8 @@ def _seq(runs: Sequence[_Run]) -> tuple[str, ...]:
 
 
 def _prop_config(theta, eta) -> tuple[float, float, float, float]:
-    t = np.sort(_weights("theta", theta))
-    e = np.sort(_weights("eta", eta))
+    t = np.sort(check_weights("theta", theta))
+    e = np.sort(check_weights("eta", eta))
     if t.size != 2 or e.size != 2:
         raise DomainError("theta and eta must be 2-vectors")
     t1, t2 = float(t[0]), float(t[1])
@@ -409,9 +358,7 @@ def h_diff(theta, eta, alpha: float, u: float) -> float:
     W ~ beta(alpha, alpha): equals B((eta2-u)/(eta2-eta1)) -
     B((theta2-u)/(theta2-theta1)) with B the beta(alpha, alpha) CDF."""
     t1, t2, e1, e2 = _prop_config(theta, eta)
-    a = float(alpha)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    a = check_alpha(alpha)
     u = float(u)
     if not math.isfinite(u):
         raise DomainError(f"u must be finite, got {u!r}")
@@ -443,9 +390,7 @@ def lemma2_residual(theta_star, delta: float, alpha: float, x: float,
     t1s, t2s = float(ts[0]), float(ts[1])
     if not (0.0 < t1s <= t2s and math.isfinite(t2s)):
         raise DomainError(f"theta_star must satisfy 0 < theta1 <= theta2, got {ts!r}")
-    a = float(alpha)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    a = check_alpha(alpha)
     delta = float(delta)
     h = float(h)
     # delta = 0 is legal: the identity degenerates to 0 = 0 when theta1* = theta2*

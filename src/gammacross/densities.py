@@ -7,14 +7,13 @@ plain unit-scale gamma densities, and finite mixtures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from ._domain import check_alpha, check_weights
 from .gconv import GammaConvolution
 
 __all__ = ["SmoothDensity", "from_convolution", "gamma_unit", "mix"]
@@ -42,9 +41,7 @@ def from_convolution(gc: GammaConvolution) -> SmoothDensity:
 
 def gamma_unit(alpha: float) -> SmoothDensity:
     """Unit-scale gamma density g_alpha with analytic derivatives, x > 0."""
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    alpha = check_alpha(alpha)
     lg = specfun.log_gamma(alpha)
 
     def value(x):
@@ -65,15 +62,8 @@ def gamma_unit(alpha: float) -> SmoothDensity:
 
 def mix(pairs: Sequence[tuple[float, SmoothDensity]]) -> SmoothDensity:
     """Convex (or just positive) combination sum(w_i * f_i)."""
-    if not pairs:
-        raise DomainError("mix requires at least one component")
-    ws = [float(w) for w, _ in pairs]
+    ws = check_weights("mixture weights", [w for w, _ in pairs]).tolist()
     fs = [f for _, f in pairs]
-    for w in ws:
-        if not math.isfinite(w) or w < 0.0:
-            raise DomainError(f"mixture weights must be nonnegative, got {w!r}")
-    if not any(w > 0.0 for w in ws):
-        raise DomainError("at least one mixture weight must be positive")
     return SmoothDensity(
         value=lambda x: sum(w * f.value(x) for w, f in zip(ws, fs)),
         d1=lambda x: sum(w * f.d1(x) for w, f in zip(ws, fs)),

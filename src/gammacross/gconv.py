@@ -45,6 +45,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc, betaln, gammainc, gammaincc, gammaincinv, gammaln
 
+from ._domain import check_alpha, check_weights
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -210,15 +211,8 @@ def make_convolution(alpha: float, weights: Sequence[float],
     shape to that weight's component (an independent exponential at the same
     scale); supplement indices must point at positive weights.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
-    ws = [float(w) for w in weights]
-    if not ws:
-        raise DomainError("weights must be nonempty")
-    for w in ws:
-        if not math.isfinite(w) or w < 0.0:
-            raise DomainError(f"weights must be nonnegative and finite, got {w!r}")
+    alpha = check_alpha(alpha)
+    ws = check_weights("weights", weights).tolist()
     extra = [0] * len(ws)
     for i in supplements:
         if not (0 <= int(i) < len(ws)):
@@ -227,8 +221,6 @@ def make_convolution(alpha: float, weights: Sequence[float],
             raise DomainError(f"supplement index {i!r} points at a zero weight")
         extra[int(i)] += 1
     comps = [GammaComponent(alpha + k, w) for w, k in zip(ws, extra) if w > 0.0]
-    if not comps:
-        raise DomainError("all weights are zero")
     return GammaConvolution(tuple(comps))
 
 

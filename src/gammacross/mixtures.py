@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import densities
+from ._domain import check_alpha, check_window
 from .densities import SmoothDensity
 from .errors import DomainError, UndecidedError
 from .specfun import gamma_density
@@ -36,17 +38,16 @@ __all__ = [
 ]
 
 _CURV_TOL = 1e-9
-_STAT_D1_TOL = 1e-9
+_STAT_RTOL = 1e-13  # relative accuracy of stationary points
+_TINY = np.finfo(float).tiny
 
 
 def lemma3_lambda(alpha: float, x0: float) -> float:
     """Mixture weight planting a stationary point at x0:
     lam = -g_alpha'(x0) / g_{1+alpha}'(x0), positive for x0 strictly between
     the modes max(0, alpha - 1) and alpha."""
-    a = float(alpha)
+    a = check_alpha(alpha)
     x0 = float(x0)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
     if not (max(0.0, a - 1.0) < x0 < a):
         raise DomainError(
             f"x0 must lie strictly between the modes ({max(0.0, a - 1.0)}, {a}), got {x0!r}")
@@ -116,12 +117,9 @@ class ModeStructure:
 def mode_structure(f: SmoothDensity, window: tuple[float, float],
                    grid_size: int = 512, curvature_tol: float = _CURV_TOL) -> ModeStructure:
     """Locate interior stationary points of f on the window by sign changes
-    of f' on a log grid, refine by bisection, classify by f'' against
-    curvature_tol.  Stationary points are resolved until |f'| <= 1e-9 or the
-    bracket is 1e-13 relative."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
+    of f' on a log grid, solve f' = 0 on each bracket by Brent's method to
+    relative accuracy 1e-13, and classify by f'' against curvature_tol."""
+    lo, hi = check_window(window)
     if grid_size < 32:
         raise DomainError("grid_size must be at least 32")
     xs = np.geomspace(lo, hi, grid_size)
@@ -130,7 +128,8 @@ def mode_structure(f: SmoothDensity, window: tuple[float, float],
         raise DomainError("f' is not finite on the window")
     points: list[StationaryPoint] = []
     for i in np.nonzero(np.sign(d1[1:]) * np.sign(d1[:-1]) < 0)[0]:
-        x_star = _refine_stationary(f, float(xs[i]), float(xs[i + 1]), float(d1[i]))
+        x_star = brentq(lambda x: float(f.d1(x)), xs[i], xs[i + 1],
+                        xtol=_TINY, rtol=_STAT_RTOL)
         curv = float(f.d2(x_star))
         if curv < -curvature_tol:
             kind = "max"
@@ -145,27 +144,11 @@ def mode_structure(f: SmoothDensity, window: tuple[float, float],
                          window=(lo, hi))
 
 
-def _refine_stationary(f: SmoothDensity, a: float, b: float, da: float) -> float:
-    left_neg = da < 0.0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        dm = float(f.d1(m))
-        if abs(dm) <= _STAT_D1_TOL or (b - a) <= 1e-13 * max(abs(a), abs(b)):
-            return m
-        if (dm < 0.0) == left_neg:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def logconcavity_check(f: SmoothDensity, window: tuple[float, float],
                        grid_size: int = 512, tol: float = 1e-9) -> bool:
     """Certify strict log-concavity on the window: (f'^2 - f'' f) / f^2 >= tol
     at every grid point, i.e. a positive lower bound on (-log f)''."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
+    lo, hi = check_window(window)
     xs = np.geomspace(lo, hi, grid_size)
     v = np.asarray(f.value(xs), dtype=float)
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
@@ -181,9 +164,7 @@ def mixcond_check(f1: SmoothDensity, f2: SmoothDensity, window: tuple[float, flo
     require f1'' f2' <= f1' f2'' (+ relative slack).  At such x the unique
     p with p f1' + (1-p) f2' = 0 then has p f1'' + (1-p) f2'' < 0, so no
     mixture of f1, f2 can have a local minimum there."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
+    lo, hi = check_window(window)
     xs = np.geomspace(lo, hi, grid_size)
     f1p = np.asarray(f1.d1(xs), dtype=float)
     f2p = np.asarray(f2.d1(xs), dtype=float)

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._domain import check_pair, check_weights, check_window, tie_tol
 from .densities import SmoothDensity
 from .errors import DomainError, UndecidedError
 from .gconv import GammaConvolution
@@ -34,34 +35,13 @@ __all__ = [
     "slr_check",
 ]
 
-_RTOL = 1e-12
-
-
-def _as_vector(name: str, w) -> np.ndarray:
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(arr < 0.0):
-        raise DomainError(f"{name} must be nonnegative")
-    return arr
-
-
-def _tol(*vals: float) -> float:
-    return _RTOL * max(1.0, *(abs(v) for v in vals))
-
-
 def majorizes(theta, eta) -> bool:
     """True iff theta majorizes eta: equal totals and every descending
     partial sum of theta at least that of eta (ties tolerated at 1e-12)."""
-    t = _as_vector("theta", theta)
-    e = _as_vector("eta", eta)
-    if t.size != e.size:
-        raise DomainError("theta and eta must have equal length")
+    t, e = check_pair(theta, eta)
     st = math.fsum(t)
     se = math.fsum(e)
-    if abs(st - se) > _tol(st, se):
+    if abs(st - se) > tie_tol(st, se):
         return False
     td = np.sort(t)[::-1]
     ed = np.sort(e)[::-1]
@@ -69,7 +49,7 @@ def majorizes(theta, eta) -> bool:
     for i in range(t.size - 1):
         pt += td[i]
         pe += ed[i]
-        if pt < pe - _tol(pt, pe):
+        if pt < pe - tie_tol(pt, pe):
             return False
     return True
 
@@ -77,10 +57,7 @@ def majorizes(theta, eta) -> bool:
 def log_majorizes(theta, eta, weak: bool = False) -> bool:
     """True iff log(theta) majorizes log(eta); `weak` drops the equal-total
     requirement (descending partial sums only).  Entries must be positive."""
-    t = _as_vector("theta", theta)
-    e = _as_vector("eta", eta)
-    if t.size != e.size:
-        raise DomainError("theta and eta must have equal length")
+    t, e = check_pair(theta, eta)
     if np.any(t <= 0.0) or np.any(e <= 0.0):
         raise DomainError("log_majorizes requires strictly positive entries")
     lt = np.sort(np.log(t))[::-1]
@@ -89,12 +66,12 @@ def log_majorizes(theta, eta, weak: bool = False) -> bool:
     for i in range(t.size - (0 if weak else 1)):
         pt += lt[i]
         pe += le[i]
-        if pt < pe - _tol(pt, pe):
+        if pt < pe - tie_tol(pt, pe):
             return False
     if not weak:
         st = math.fsum(lt)
         se = math.fsum(le)
-        if abs(st - se) > _tol(st, se):
+        if abs(st - se) > tie_tol(st, se):
             return False
     return True
 
@@ -116,11 +93,11 @@ class VMajWitness:
 def _witness_valid(t: np.ndarray, e: np.ndarray, v: np.ndarray, k1: int, k2: int) -> bool:
     # All vectors ascending; positions are 1-based in the definition.
     n = t.size
-    if np.any(np.diff(v) < -_tol(float(np.max(np.abs(v))))):
+    if np.any(np.diff(v) < -tie_tol(float(np.max(np.abs(v))))):
         return False
     for i in range(n):
         pos = i + 1
-        tol = _tol(t[i], e[i], v[i])
+        tol = tie_tol(t[i], e[i], v[i])
         if pos <= k1:
             if not (t[i] <= v[i] + tol and v[i] <= e[i] + tol):
                 return False
@@ -141,10 +118,7 @@ def v_majorizes(theta, eta) -> VMajWitness | None:
     verifies the assembled candidate against the definition.  (0, n+1) is
     tried first, so plainly majorizing pairs return theta itself.
     """
-    t = np.sort(_as_vector("theta", theta))
-    e = np.sort(_as_vector("eta", eta))
-    if t.size != e.size:
-        raise DomainError("theta and eta must have equal length")
+    t, e = map(np.sort, check_pair(theta, eta))
     n = t.size
     target = math.fsum(e)
     for k1 in range(0, n + 1):
@@ -168,7 +142,7 @@ def _vmaj_boxes(t: np.ndarray, e: np.ndarray, k1: int, k2: int):
     hi = np.empty(n)
     for i in range(n):
         pos = i + 1
-        tol = _tol(t[i], e[i])
+        tol = tie_tol(t[i], e[i])
         in_low = pos <= k1
         in_high = pos >= k2
         if in_low and in_high:
@@ -191,7 +165,7 @@ def _vmaj_boxes(t: np.ndarray, e: np.ndarray, k1: int, k2: int):
 def _water_fill(lo: np.ndarray, hi: np.ndarray, target: float):
     slo = math.fsum(lo)
     shi = math.fsum(hi)
-    tol = _tol(slo, shi, target)
+    tol = tie_tol(slo, shi, target)
     if target < slo - tol or target > shi + tol:
         return None
     out = lo.copy()
@@ -211,10 +185,7 @@ def v_majorizes_brute(theta, eta, step: float) -> bool:
     per-position boxes for every (k1, k2); True iff any candidate verifies.
     Reference implementation for cross-checking `v_majorizes`.
     """
-    t = np.sort(_as_vector("theta", theta))
-    e = np.sort(_as_vector("eta", eta))
-    if t.size != e.size:
-        raise DomainError("theta and eta must have equal length")
+    t, e = map(np.sort, check_pair(theta, eta))
     if t.size > 4:
         raise DomainError("brute force is limited to n <= 4")
     if not (step > 0.0 and math.isfinite(step)):
@@ -237,7 +208,7 @@ def v_majorizes_brute(theta, eta, step: float) -> bool:
                 axes.append(vals)
             for combo in _iter_product(*axes):
                 cand = np.sort(np.asarray(combo))
-                if abs(math.fsum(cand) - target) > _tol(target) + 1e-9 * step:
+                if abs(math.fsum(cand) - target) > tie_tol(target) + 1e-9 * step:
                     continue
                 if _witness_valid(t, e, cand, k1, k2):
                     return True
@@ -268,7 +239,7 @@ def star_order_check(theta, eta, alpha: float, c_values: Sequence[float],
     scaled comparison cannot be certified."""
     from .crossing import Classification, sign_profile  # cycle: orders <-> crossing
 
-    t = _as_vector("theta", theta)
+    t = check_weights("theta", theta)
     for c in c_values:
         c = float(c)
         if not (c > 0.0 and math.isfinite(c)):
@@ -287,9 +258,7 @@ def slr_check(f: SmoothDensity, g: SmoothDensity, window: tuple[float, float],
     """Supplemented likelihood-ratio dominance of f by g on a window:
     (a) f' g <= f g' everywhere, and (b) f'/g' nonincreasing along each of
     the restricted sets {f' > tol} and {g' < -tol}."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
+    lo, hi = check_window(window)
     if grid_size < 16:
         raise DomainError("grid_size must be at least 16")
     xs = np.geomspace(lo, hi, grid_size)

@@ -21,7 +21,7 @@ class TestCheck:
         assert "classification: SINGLE_CROSSING_BELOW" in out
         assert "direction -+" in out
         assert "near-zero sign: -" in out
-        assert "tail sign: + (rigorous)" in out
+        assert "tail sign: +" in out
         assert "eta_majorized_by_theta: True" in out
 
     def test_undecided_exit_two(self, capsys):
@@ -49,6 +49,27 @@ class TestCheck:
         ]
         assert payload["orders"]["eta_majorized_by_theta"] is True
         assert payload["orders"]["theta_st_below_eta"] is False
+
+    def test_hex_fields_match_decimal_mirror(self, capsys, tmp_path):
+        path = tmp_path / "rep.json"
+        assert run(capsys, ["check", "--alpha", "1.0", "--theta", "1,4",
+                            "--eta", "2,3", "--out", str(path)])[0] == 0
+        payload = json.loads(path.read_text())
+
+        def same(hexed, dec):
+            if isinstance(dec, float):
+                return hexed == dec.hex()
+            if isinstance(dec, list):
+                return len(hexed) == len(dec) and all(map(same, hexed, dec))
+            if isinstance(dec, dict):
+                return hexed.keys() == dec.keys() and all(same(hexed[k], dec[k]) for k in dec)
+            return hexed == dec
+
+        mirror = payload["decimal"]
+        assert sorted(mirror) == ["alpha", "crossings", "error_estimate", "eta",
+                                  "theta", "window"]
+        for key, dec in mirror.items():
+            assert same(payload[key], dec), key
 
     def test_order_predicates_computed_once(self, capsys, tmp_path, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import pytest
 
 from gammacross.counterexample import (
     CounterexampleCertificate,
-    _construction,
+    construction,
     build_counterexample,
     verify_certificate,
 )
@@ -51,7 +51,7 @@ class TestBuild:
                    for c in cert.crossings)
 
     def test_explicit_delta_algebra(self):
-        theta, eta, delta = _construction(0.1, 5.0, delta=0.02)
+        theta, eta, delta = construction(0.1, 5.0, delta=0.02)
         assert delta == 0.02
         assert theta == pytest.approx((0.08, 0.118, 1.102), abs=1e-15)
         assert eta == (0.1, 0.1, 1.1)
@@ -87,11 +87,34 @@ class TestSerialization:
         assert raw["alpha"] == float(cert.alpha).hex()
         assert len(raw["crossings"]) == cert.n_crossings
 
+    def test_decimal_string_fields_read_as_decimal(self, cert):
+        import json
+
+        def to_decimal(obj):
+            if isinstance(obj, str) and obj.startswith("0x"):
+                return repr(float.fromhex(obj))
+            if isinstance(obj, dict):
+                return {k: to_decimal(v) for k, v in obj.items()}
+            if isinstance(obj, list):
+                return [to_decimal(v) for v in obj]
+            return obj
+
+        raw = to_decimal(json.loads(cert.to_json()))
+        assert raw["alpha"] == "0.5"
+        assert CounterexampleCertificate.from_json(json.dumps(raw)) == cert
+        # only a 0x prefix means hex: "10" is ten, "0x10" sixteen
+        raw["tolerances"]["grid_size"] = 10
+        for text, want in (("10", 10.0), ("0x10", 16.0), ("-0x1p-1", -0.5)):
+            raw["eps"] = text
+            assert CounterexampleCertificate.from_json(json.dumps(raw)).eps == want
+
     def test_malformed_rejected(self):
         with pytest.raises(DomainError):
             CounterexampleCertificate.from_json("{}")
         with pytest.raises(DomainError):
             CounterexampleCertificate.from_json('{"alpha": "0x1.0p-1"}')
+        with pytest.raises(DomainError):
+            CounterexampleCertificate.from_json("not json")
 
 
 class TestVerify:
@@ -134,7 +157,7 @@ class TestStability:
     def test_smaller_eps_keeps_the_pattern(self, cert):
         # the construction is robust along eps: halving it (delta = eps / 4)
         # still certifies at least three crossings
-        theta, eta, _ = _construction(cert.eps / 2.0, cert.lam, delta=cert.eps / 4.0)
+        theta, eta, _ = construction(cert.eps / 2.0, cert.lam, delta=cert.eps / 4.0)
         rep = sign_profile(theta, eta, cert.alpha,
                            seed_window=perturbation_root_window(theta, cert.alpha))
         assert rep.classification is Classification.MULTI

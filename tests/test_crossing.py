@@ -65,12 +65,21 @@ class TestTailSign:
         assert tail_sign([4.0, 4.0, 1.0], [4.0, 2.0, 3.0]) is Sign.PLUS
         assert tail_sign([4.0, 2.0, 3.0], [4.0, 4.0, 1.0]) is Sign.MINUS
 
-    def test_deep_tie_lexicographic_heuristic(self):
-        # maxima and multiplicities agree; the 6-vs-5 comparison is heuristic
-        assert tail_sign([1.0, 6.0, 10.0], [4.0, 5.0, 10.0]) is Sign.PLUS
+    def test_deep_tie_decided_by_tail_constant(self):
+        # maxima and multiplicities agree, so the constant
+        # C = prod (1 - beta_j / beta)^-alpha decides: 2.78 against 3.33, and
+        # 16 against 8.2 where comparing the second scales gives the wrong sign
+        for theta, eta, x, want in (([1.0, 6.0, 10.0], [4.0, 5.0, 10.0], 200.0, Sign.MINUS),
+                                    ([3.0, 3.0, 4.0], [0.1, 3.5, 4.0], 100.0, Sign.PLUS)):
+            assert tail_sign(theta, eta) is want
+            # the engine's D = F_eta - F_theta far out in the tail agrees
+            d = make_convolution(1.0, eta).cdf(x) - make_convolution(1.0, theta).cdf(x)
+            assert (Sign.PLUS if d > 0.0 else Sign.MINUS) is want
 
     def test_full_tie_indeterminate(self):
         assert tail_sign([1.0, 5.0], [1.0, 5.0]) is Sign.INDETERMINATE
+        # different scales, equal constants: (3/4)(1/2) = (1)(3/8)
+        assert tail_sign([1.0, 2.0, 4.0], [0.0, 2.5, 4.0]) is Sign.INDETERMINATE
 
 
 class TestSignProfile:
@@ -84,7 +93,7 @@ class TestSignProfile:
         root = brentq(hypoexp_cdf_diff, 1.0, 20.0, xtol=1e-13)
         assert abs(c.location - root) < 1e-8
         assert c.margin > 100.0 * rep.error_estimate
-        assert rep.near_zero == "-" and rep.tail == "+" and rep.tail_rigorous
+        assert rep.near_zero == "-" and rep.tail == "+"
 
     def test_window_invariance(self):
         rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0)
@@ -104,16 +113,16 @@ class TestSignProfile:
         assert rep.classification is Classification.NO_CROSSING
         assert "equal products with log-majorization dominance" in rep.notes
 
-    def test_dominated_pair_with_heuristic_tail_override(self):
+    def test_dominated_pair_tail_agrees_with_scan(self):
         rep = sign_profile([1.0, 6.0, 10.0], [4.0, 5.0, 10.0], 1.0)
         assert rep.classification is Classification.NO_CROSSING
         assert rep.sign_sequence == ("-",)
-        assert not rep.tail_rigorous
-        assert "lexicographic tail heuristic overridden by the certified scan" in rep.notes
+        assert rep.near_zero == "-" and rep.tail == "-"
+        assert rep.notes == ()
 
     def test_undecided_near_max_tie(self):
         # the last crossing sits so far out that |D| never clears tol there;
-        # the rigorous tail sign then contradicts the certified scan
+        # the tail sign then contradicts the certified scan
         rep = sign_profile([0.5, 3.0003], [1.5, 3.0], 1.0)
         assert rep.classification is Classification.UNDECIDED
         assert "tail sign contradicts the last certified run" in rep.notes
@@ -132,7 +141,7 @@ class TestSignProfile:
             if rep.sign_sequence:
                 if rep.near_zero != "?":
                     assert rep.sign_sequence[0] == rep.near_zero
-                if rep.tail_rigorous and rep.tail != "?":
+                if rep.tail != "?":
                     assert rep.sign_sequence[-1] == rep.tail
             changes = sum(1 for a, b in zip(rep.sign_sequence, rep.sign_sequence[1:])
                           if a != b)
