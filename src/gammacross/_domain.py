@@ -1,9 +1,10 @@
 """Input checks shared by the public entry points, and the one tie tolerance.
 
-Every function here either returns its validated input as the type the
-callers compute with or raises DomainError.  A weight vector is 1-d,
-nonempty, finite and nonnegative with at least one positive entry; a
-window is an interval with 0 < lo < hi < inf.
+Every check here raises DomainError on bad input and otherwise returns the
+validated input, if any, as the type the callers compute with.  A weight
+vector is 1-d, nonempty, finite and nonnegative with at least one positive
+entry; a window is an interval with 0 < lo < hi < inf; a crossing scan has
+at least 64 grid points and a tolerance in (0, 1).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["check_alpha", "check_weights", "check_pair", "check_window", "tie_tol"]
+__all__ = ["check_alpha", "check_weights", "check_pair", "check_window", "check_scan",
+           "tie_tol"]
 
 _TIE_RTOL = 1e-12
 
@@ -50,6 +52,13 @@ def check_window(window) -> tuple[float, float]:
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
     return lo, hi
+
+
+def check_scan(grid_size: int, tol: float) -> None:
+    if grid_size < 64:
+        raise DomainError("grid_size must be at least 64")
+    if not (0.0 < tol < 1.0):
+        raise DomainError(f"tol must be in (0, 1), got {tol!r}")
 
 
 def tie_tol(*vals: float) -> float:

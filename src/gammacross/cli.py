@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from ._domain import check_alpha, check_scan
 from ._hexjson import dumps, hex_float, parse_float
 from ._version import ENGINE_VERSION
 from .acceptance import run_selftest
@@ -49,6 +50,13 @@ def _parse_vector(text: str) -> list[float]:
     if not vals:
         raise DomainError("empty weight list")
     return vals
+
+
+def _parse_counts(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise DomainError(f"cannot parse component counts {text!r}") from None
 
 
 def _report_json(rep: CrossingReport, orders: dict) -> str:
@@ -148,7 +156,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.cert) as fh:
+    # undecodable bytes fail JSON parsing as a malformed certificate
+    with open(args.cert, errors="replace") as fh:
         cert = CounterexampleCertificate.from_json(fh.read())
     rep = verify_certificate(cert, grid_factor=args.grid_factor,
                              tol_factor=args.tol_factor)
@@ -186,12 +195,15 @@ def _sweep_trial(trial_id: int, alpha: float, n: int, seed: int, args, near_cert
 
 
 def cmd_sweep(args) -> int:
-    alphas = [parse_float(t) for t in args.alpha.split(",") if t.strip()]
-    ns = [int(t) for t in args.n.split(",") if t.strip()]
+    alphas = [check_alpha(parse_float(t)) for t in args.alpha.split(",") if t.strip()]
+    ns = _parse_counts(args.n)
     if not alphas or not ns or args.trials <= 0:
         print("sweep needs a nonempty alpha list, n list, and positive trial count",
               file=sys.stderr)
         return 1
+    if args.seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {args.seed}")
+    check_scan(args.grid_size, args.tol)
     near_cert = None
     if args.near_counterexample:
         if len(alphas) != 1 or alphas[0] >= 1.0:
@@ -276,6 +288,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except GammaCrossError as exc:
         print(f"engine error: {exc}", file=sys.stderr)

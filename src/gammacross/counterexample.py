@@ -1,8 +1,14 @@
 """Construction and verification of triple-crossing certificates.
 
 For shape alpha in (0, 1), CDFs of majorized gamma convolutions can cross
-three times.  The construction plants a bimodal two-term mixture minimum at
-x0 (weight lam), then compares
+three times.  The construction plants the minimum of the bimodal mixture
+lam g_{1+alpha} + g_alpha at x0, with the closed-form weight
+
+    lam = alpha (x0 + 1 - alpha) / (x0 (alpha - x0)),
+
+whose next stationary point is alpha (1 - alpha) / (lam x0).  The window
+half-width w is half the distance from x0 to that point, halved again while
+x0 - w <= 0.  The construction then compares
 
     theta = (eps - delta, eps + delta - lam delta^2, 1 + eps + lam delta^2)
     eta   = (eps, eps, 1 + eps),         delta = eps / 2
@@ -24,10 +30,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq
-
-from . import densities
 from ._hexjson import dumps, parse_float
 from ._version import ENGINE_VERSION
 from .crossing import (Classification, Crossing, CrossingReport,
@@ -46,7 +48,6 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 40
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -167,31 +168,12 @@ def build_counterexample(alpha: float, x0: float | None = None,
 
 
 def _half_width(alpha: float, lam: float, x0: float) -> float:
-    """Half-width w with s' negative at x0 - w and positive at x0 + w, taken
-    as half the distance from x0 to the next stationary point of the mixture."""
-    g_lo = densities.gamma_unit(alpha)
-    g_hi = densities.gamma_unit(1.0 + alpha)
-
-    def sp(x):
-        return lam * g_hi.d1(x) + g_lo.d1(x)
-
-    grid = np.linspace(x0, alpha, 1025)[1:]
-    vals = np.asarray(sp(grid), dtype=float)
-    pos = np.nonzero(vals > 0.0)[0]
-    if pos.size == 0:
-        raise SearchExhaustedError(f"mixture derivative never positive right of x0={x0}")
-    neg_after = np.nonzero(vals[pos[0]:] < 0.0)[0]
-    if neg_after.size == 0:
-        x_next = float(grid[-1])
-    else:
-        j = pos[0] + neg_after[0]
-        x_next = brentq(lambda x: float(sp(x)), grid[j - 1], grid[j], xtol=_TINY)
-    w = 0.5 * (x_next - x0)
-    for _ in range(20):
-        if w > 0.0 and x0 - w > 0.0 and float(sp(x0 - w)) < 0.0 and float(sp(x0 + w)) > 0.0:
-            return w
+    """The window half-width w of the module docstring; the mixture's
+    derivative is negative at x0 - w and positive at x0 + w."""
+    w = 0.5 * (alpha * (1.0 - alpha) / (lam * x0) - x0)
+    while x0 - w <= 0.0:
         w /= 2.0
-    raise SearchExhaustedError(f"could not establish a sign window around x0={x0}")
+    return w
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import betainc
 
-from . import specfun
-from ._domain import check_alpha, check_pair, check_weights, check_window, tie_tol
+from ._domain import (check_alpha, check_pair, check_scan, check_weights, check_window,
+                      tie_tol)
 from .errors import DomainError
 from .gconv import GammaComponent, GammaConvolution, make_convolution
 from .orders import log_majorizes
@@ -216,7 +217,6 @@ def _runs(signs: np.ndarray, d: np.ndarray) -> list[_Run]:
 
 def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
                  tol: float = DEFAULT_TOL, window: tuple[float, float] | None = None,
-                 refine_passes: int = _REFINE_PASSES,
                  seed_window: tuple[float, float] | None = None) -> CrossingReport:
     """Certify the sign runs and crossings of D(x) = F_eta(x) - F_theta(x).
 
@@ -227,10 +227,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
     """
     t, e = check_pair(theta, eta)
     a = check_alpha(alpha)
-    if grid_size < 64:
-        raise DomainError("grid_size must be at least 64")
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol must be in (0, 1), got {tol!r}")
+    check_scan(grid_size, tol)
     if window is not None:
         lo, hi = check_window(window)
 
@@ -270,7 +267,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
         return gc_e.cdf(pts) - gc_t.cdf(pts)
 
     d = dval(xs)
-    for _ in range(max(0, int(refine_passes))):
+    for _ in range(_REFINE_PASSES):
         signs = _classify_signs(d, tol)
         trans = np.nonzero(signs[1:] != signs[:-1])[0]
         if trans.size == 0:
@@ -356,18 +353,19 @@ def u_star(theta, eta) -> float:
 def h_diff(theta, eta, alpha: float, u: float) -> float:
     """H_theta(u) - H_eta(u) where H_v(u) = Pr(v1 W + v2 (1 - W) <= u) and
     W ~ beta(alpha, alpha): equals B((eta2-u)/(eta2-eta1)) -
-    B((theta2-u)/(theta2-theta1)) with B the beta(alpha, alpha) CDF."""
+    B((theta2-u)/(theta2-theta1)) with B the beta(alpha, alpha) CDF, whose
+    argument is clipped to [0, 1]."""
     t1, t2, e1, e2 = _prop_config(theta, eta)
     a = check_alpha(alpha)
     u = float(u)
     if not math.isfinite(u):
         raise DomainError(f"u must be finite, got {u!r}")
     if e2 > e1:
-        term_eta = specfun.beta_cdf(a, a, (e2 - u) / (e2 - e1))
+        term_eta = betainc(a, a, np.clip((e2 - u) / (e2 - e1), 0.0, 1.0))
     else:
         term_eta = 1.0 if u < e1 else 0.0
-    term_theta = specfun.beta_cdf(a, a, (t2 - u) / (t2 - t1))
-    return term_eta - term_theta
+    term_theta = betainc(a, a, np.clip((t2 - u) / (t2 - t1), 0.0, 1.0))
+    return float(term_eta - term_theta)
 
 
 # -- two-coordinate perturbation identity ------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
-from . import specfun
 from ._domain import check_alpha, check_weights
 from .gconv import GammaConvolution
 
@@ -42,7 +42,7 @@ def from_convolution(gc: GammaConvolution) -> SmoothDensity:
 def gamma_unit(alpha: float) -> SmoothDensity:
     """Unit-scale gamma density g_alpha with analytic derivatives, x > 0."""
     alpha = check_alpha(alpha)
-    lg = specfun.log_gamma(alpha)
+    lg = float(gammaln(alpha))
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -120,10 +120,6 @@ class GammaConvolution:
         object.__setattr__(self, "components", tuple(merged))
 
     @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
     def total_shape(self) -> float:
         return math.fsum(c.shape for c in self.components)
 

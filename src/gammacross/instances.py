@@ -12,24 +12,15 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .gconv import GammaConvolution, make_convolution
+from .gconv import make_convolution
 
 __all__ = [
-    "random_pair",
     "random_majorized_pair",
     "random_log_majorized_pair",
     "random_v_majorized_pair",
     "random_mixing_config",
     "random_perturbation_config",
-    "random_convolution",
 ]
-
-
-def random_pair(rng: np.random.Generator, n: int, lo: float = 0.2, hi: float = 4.0):
-    """Independent uniform weight vectors (theta, eta)."""
-    if n < 1 or not lo < hi or lo <= 0.0:
-        raise DomainError("need n >= 1 and 0 < lo < hi")
-    return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
 
 
 def random_majorized_pair(rng: np.random.Generator, n: int, lo: float = 0.2,
@@ -117,7 +108,3 @@ def random_perturbation_config(rng: np.random.Generator, alpha_choices=(0.5, 1.0
         g_tail = make_convolution(alpha, scales)
     return np.array([t1, t2]), float(delta), alpha, g_tail
 
-
-def random_convolution(rng: np.random.Generator, alpha: float, n: int,
-                       lo: float = 0.3, hi: float = 3.0) -> GammaConvolution:
-    return make_convolution(alpha, rng.uniform(lo, hi, n))

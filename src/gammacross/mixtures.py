@@ -2,11 +2,18 @@
 
 For shape alpha in (0, 1) the two-term mixture lam * g_{1+alpha} + g_alpha
 can be made bimodal: picking any x0 strictly between the modes of g_alpha
-and g_{1+alpha} and setting lam = -g_alpha'(x0) / g_{1+alpha}'(x0) plants a
-stationary point at x0, and its curvature -lam'(x0) g_{1+alpha}'(x0) is
-positive exactly when x0^2 + 2(1-alpha) x0 - alpha(1-alpha) < 0, i.e. for
-x0 below sqrt(1-alpha) - (1-alpha).  For alpha >= 1 no lam produces an
-interior minimum.  The numeric mode scanner and the log-concavity /
+and g_{1+alpha} and setting
+
+    lam = -g_alpha'(x0) / g_{1+alpha}'(x0) = alpha (x0 + 1 - alpha) / (x0 (alpha - x0))
+
+plants a stationary point at x0 (the ratio is rational because
+g_{1+alpha}(x) = (x / alpha) g_alpha(x)).  The mixture's derivative is
+-g_alpha(x) / (alpha x) times lam x^2 - alpha (lam - 1) x + alpha (1 - alpha),
+so its stationary points are the roots of that quadratic: x0 and
+alpha (1 - alpha) / (lam x0).  x0 is the smaller root, so a local minimum,
+exactly when x0^2 + 2(1-alpha) x0 - alpha(1-alpha) < 0, i.e. for x0 below
+sqrt(1-alpha) - (1-alpha).  For alpha >= 1 no lam produces an interior
+minimum.  The numeric mode scanner and the log-concavity /
 mixture-condition checks here certify those statements on windows.
 """
 
@@ -22,7 +29,6 @@ from . import densities
 from ._domain import check_alpha, check_window
 from .densities import SmoothDensity
 from .errors import DomainError, UndecidedError
-from .specfun import gamma_density
 
 __all__ = [
     "lemma3_lambda",
@@ -44,14 +50,14 @@ _TINY = np.finfo(float).tiny
 
 def lemma3_lambda(alpha: float, x0: float) -> float:
     """Mixture weight planting a stationary point at x0:
-    lam = -g_alpha'(x0) / g_{1+alpha}'(x0), positive for x0 strictly between
-    the modes max(0, alpha - 1) and alpha."""
+    lam = -g_alpha'(x0) / g_{1+alpha}'(x0) = alpha (x0 + 1 - alpha) / (x0 (alpha - x0)),
+    positive for x0 strictly between the modes max(0, alpha - 1) and alpha."""
     a = check_alpha(alpha)
     x0 = float(x0)
     if not (max(0.0, a - 1.0) < x0 < a):
         raise DomainError(
             f"x0 must lie strictly between the modes ({max(0.0, a - 1.0)}, {a}), got {x0!r}")
-    return -gamma_density(a, x0, 1) / gamma_density(1.0 + a, x0, 1)
+    return a * (x0 + 1.0 - a) / (x0 * (a - x0))
 
 
 def bimodality_window(alpha: float) -> tuple[float, float]:
@@ -115,10 +121,10 @@ class ModeStructure:
 
 
 def mode_structure(f: SmoothDensity, window: tuple[float, float],
-                   grid_size: int = 512, curvature_tol: float = _CURV_TOL) -> ModeStructure:
+                   grid_size: int = 512) -> ModeStructure:
     """Locate interior stationary points of f on the window by sign changes
     of f' on a log grid, solve f' = 0 on each bracket by Brent's method to
-    relative accuracy 1e-13, and classify by f'' against curvature_tol."""
+    relative accuracy 1e-13, and classify by f'' against 1e-9."""
     lo, hi = check_window(window)
     if grid_size < 32:
         raise DomainError("grid_size must be at least 32")
@@ -131,9 +137,9 @@ def mode_structure(f: SmoothDensity, window: tuple[float, float],
         x_star = brentq(lambda x: float(f.d1(x)), xs[i], xs[i + 1],
                         xtol=_TINY, rtol=_STAT_RTOL)
         curv = float(f.d2(x_star))
-        if curv < -curvature_tol:
+        if curv < -_CURV_TOL:
             kind = "max"
-        elif curv > curvature_tol:
+        elif curv > _CURV_TOL:
             kind = "min"
         else:
             kind = "undecided"

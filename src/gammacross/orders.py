@@ -54,26 +54,22 @@ def majorizes(theta, eta) -> bool:
     return True
 
 
-def log_majorizes(theta, eta, weak: bool = False) -> bool:
-    """True iff log(theta) majorizes log(eta); `weak` drops the equal-total
-    requirement (descending partial sums only).  Entries must be positive."""
+def log_majorizes(theta, eta) -> bool:
+    """True iff log(theta) majorizes log(eta).  Entries must be positive."""
     t, e = check_pair(theta, eta)
     if np.any(t <= 0.0) or np.any(e <= 0.0):
         raise DomainError("log_majorizes requires strictly positive entries")
     lt = np.sort(np.log(t))[::-1]
     le = np.sort(np.log(e))[::-1]
     pt = pe = 0.0
-    for i in range(t.size - (0 if weak else 1)):
+    for i in range(t.size - 1):
         pt += lt[i]
         pe += le[i]
         if pt < pe - tie_tol(pt, pe):
             return False
-    if not weak:
-        st = math.fsum(lt)
-        se = math.fsum(le)
-        if abs(st - se) > tie_tol(st, se):
-            return False
-    return True
+    st = math.fsum(lt)
+    se = math.fsum(le)
+    return abs(st - se) <= tie_tol(st, se)
 
 
 @dataclass(frozen=True)

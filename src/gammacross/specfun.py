@@ -1,212 +1,13 @@
-"""Scalar special functions underpinning the distribution engine.
+"""Two special-function names kept for the benchmark's call counters.
 
-Everything here is elementary double-precision work: log-gamma via a Lanczos
-approximation with reflection, the regularized lower incomplete gamma split
-between its power series and continued fraction, the regularized incomplete
-beta via continued fraction, and the gamma density with analytic first and
-second derivatives.  All routines validate their domain and raise DomainError
-on bad input rather than returning NaN.
+No gammacross module calls these: the package uses `scipy.special`
+directly, and lnGamma, the incomplete gamma and beta functions and the gamma
+density all come from it or from closed forms.  `bench/tracing.py` still
+wraps these two names, so they stay as aliases until its counters move to
+`scipy.special`; then the module goes.
 """
 
-from __future__ import annotations
+from scipy.special import gammainc as reg_lower_inc_gamma
+from scipy.special import gammaln as log_gamma
 
-import math
-
-from .errors import ConvergenceError, DomainError
-
-__all__ = [
-    "log_gamma",
-    "gamma_density",
-    "reg_lower_inc_gamma",
-    "beta_cdf",
-]
-
-# Lanczos g=7, n=9; relative error ~1e-15 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_TWO_PI = 0.9189385332046727417803297364056176398
-_LN_PI = 1.1447298858494001741434273513530587116
-
-_EPS = 2.220446049250313e-16
-_TINY = 1e-300
-_MAX_ITER = 600
-
-
-def _require_finite(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
-
-
-def log_gamma(a: float) -> float:
-    """Natural log of |Gamma(a)| for a > 0 (reflection below 1/2).
-
-    Accurate to a few ulp of the result across [1e-3, 1e3].
-    """
-    a = _require_finite("a", a)
-    if a <= 0.0:
-        raise DomainError(f"log_gamma requires a > 0, got {a!r}")
-    if a < 0.5:
-        # lnGamma(a) = ln(pi / sin(pi a)) - lnGamma(1 - a)
-        return _LN_PI - math.log(math.sin(math.pi * a)) - log_gamma(1.0 - a)
-    z = a - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma_density(a: float, t: float, order: int = 0) -> float:
-    """Unit-scale gamma density g_a(t) = t^(a-1) e^(-t) / Gamma(a), or its
-    first or second derivative in t (order 1 or 2), evaluated analytically:
-
-        g'  = g ((a-1)/t - 1)
-        g'' = g (((a-1)/t - 1)^2 - (a-1)/t^2)
-
-    Requires t > 0 (the a < 1 divergence at t = 0 is the caller's business).
-    """
-    a = _require_finite("a", a)
-    t = _require_finite("t", t)
-    if a <= 0.0:
-        raise DomainError(f"gamma_density requires a > 0, got {a!r}")
-    if t <= 0.0:
-        raise DomainError(f"gamma_density requires t > 0, got {t!r}")
-    if order not in (0, 1, 2):
-        raise DomainError(f"order must be 0, 1 or 2, got {order!r}")
-    g = math.exp((a - 1.0) * math.log(t) - t - log_gamma(a))
-    if order == 0:
-        return g
-    u = (a - 1.0) / t - 1.0
-    if order == 1:
-        return g * u
-    return g * (u * u - (a - 1.0) / (t * t))
-
-
-def _gamma_series(a: float, x: float) -> float:
-    # Lower series: P(a,x) = x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n))
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(a * math.log(x) - x - log_gamma(a))
-    raise ConvergenceError(f"incomplete gamma series stalled at a={a}, x={x}")
-
-
-def _gamma_cont_frac(a: float, x: float) -> float:
-    # Upper CF (Lentz): Q(a,x) = e^-x x^a / Gamma(a) * 1/(x+1-a- 1(1-a)/(x+3-a- ...))
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(a * math.log(x) - x - log_gamma(a))
-    raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
-
-
-def reg_lower_inc_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
-
-    Series for x < a + 1, continued fraction otherwise; absolute error
-    well inside 1e-12 over the engine's operating range.
-    """
-    a = _require_finite("a", a)
-    x = _require_finite("x", x)
-    if a <= 0.0:
-        raise DomainError(f"reg_lower_inc_gamma requires a > 0, got {a!r}")
-    if x < 0.0:
-        raise DomainError(f"reg_lower_inc_gamma requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _gamma_cont_frac(a, x)))
-
-
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
-
-
-def beta_cdf(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), clamped outside [0, 1].
-
-    Arguments below 0 or above 1 are treated as the respective limit (the
-    crossing helpers feed clipped affine arguments); a, b must be positive.
-    """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    x = _require_finite("x", x)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"beta_cdf requires a, b > 0, got a={a!r}, b={b!r}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return min(1.0, front * _beta_cont_frac(a, b, x) / a)
-    return min(1.0, max(0.0, 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b))
+__all__ = ["log_gamma", "reg_lower_inc_gamma"]

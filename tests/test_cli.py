@@ -140,6 +140,18 @@ class TestCounterexampleVerify:
         assert code == 1
         assert "file not found" in err
 
+    def test_certificate_path_is_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["verify", "--cert", str(tmp_path)])
+        assert code == 1
+        assert "Is a directory" in err
+
+    def test_undecodable_certificate(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, ["verify", "--cert", str(path)])
+        assert code == 1
+        assert "malformed certificate" in err
+
 
 class TestSweep:
     ARGS = ["sweep", "--alpha", "1.0", "--n", "2,3", "--trials", "2", "--seed", "99"]
@@ -163,6 +175,31 @@ class TestSweep:
                                     "--trials", "0", "--seed", "1"])
         assert code == 1
         assert "positive trial count" in err
+
+    def test_unparsable_counts_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--alpha", "1.0", "--n", "x",
+                                      "--trials", "1", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert "cannot parse component counts" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--alpha", "1.0", "--n", "2",
+                                      "--trials", "1", "--seed", "-1"])
+        assert code == 1 and out == ""
+        assert "seed must be nonnegative" in err
+
+    def test_invalid_scan_settings_rejected_like_check(self, capsys):
+        # check and sweep reject the same values, before any row is written
+        for extra, message in ((["--grid-size", "8"], "grid_size must be at least 64"),
+                               (["--tol", "2"], "tol must be in (0, 1)"),
+                               (["--alpha", "-1"], "alpha must be positive")):
+            for argv in (["check", "--alpha", "1", "--theta", "1,4", "--eta", "2,3"],
+                         ["sweep", "--alpha", "1.0", "--n", "2", "--trials", "2",
+                          "--seed", "1"]):
+                code, out, err = run(capsys, argv + extra)
+                assert code == 1 and message in err, (argv, extra)
+                if argv[0] == "sweep":
+                    assert out == ""
 
     def test_near_counterexample_hits_multi(self, capsys, tmp_path):
         path = tmp_path / "near.csv"

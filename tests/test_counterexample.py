@@ -3,17 +3,20 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from gammacross.counterexample import (
     CounterexampleCertificate,
+    _half_width,
     construction,
     build_counterexample,
     verify_certificate,
 )
 from gammacross.crossing import Classification, perturbation_root_window, sign_profile
+from gammacross.densities import gamma_unit
 from gammacross.errors import DomainError, SearchExhaustedError
-from gammacross.mixtures import bimodality_window
+from gammacross.mixtures import bimodality_window, lemma3_lambda
 from gammacross.orders import majorizes
 
 
@@ -49,6 +52,23 @@ class TestBuild:
         assert cert.x0 - cert.w > 0.0
         assert any(cert.x0 - cert.w < c.location < cert.x0 + cert.w
                    for c in cert.crossings)
+
+    def test_half_width_brackets_the_minimum(self):
+        # over the bimodality window: the mixture derivative is negative at
+        # x0 - w, positive at x0 + w and zero at the next stationary point
+        # a (1 - a) / (lam x0), relative to the size of its two terms
+        for a in np.linspace(0.02, 0.98, 25):
+            g_lo, g_hi = gamma_unit(a), gamma_unit(1.0 + a)
+            for x0 in np.linspace(0.02, 0.98, 25) * bimodality_window(a)[1]:
+                lam = lemma3_lambda(a, x0)
+                w = _half_width(a, lam, x0)
+
+                def terms(x):
+                    return lam * float(g_hi.d1(x)), float(g_lo.d1(x))
+
+                assert x0 - w > 0.0 and sum(terms(x0 - w)) < 0.0 < sum(terms(x0 + w))
+                hi, lo = terms(a * (1.0 - a) / (lam * x0))
+                assert abs(hi + lo) <= 1e-12 * (abs(hi) + abs(lo)), (a, x0)
 
     def test_explicit_delta_algebra(self):
         theta, eta, delta = construction(0.1, 5.0, delta=0.02)

@@ -31,7 +31,7 @@ from gammacross.gconv import (
     _window,
     make_convolution,
 )
-from gammacross.specfun import reg_lower_inc_gamma
+from test_specfun import P_TABLE
 
 # mpmath (50 dps) value of P(0.001 X1 + X2 <= 1), X_i ~ gamma(0.5, 1): a deep
 # scale ratio needing ~3e4 series terms, where naive weight accumulation
@@ -87,10 +87,10 @@ class TestConstruction:
 
 class TestEvaluation:
     def test_single_component_reduction(self):
-        gc = make_convolution(2.5, [1.7])
-        for x in (0.1, 1.0, 4.0, 12.0):
-            assert_allclose(float(gc.cdf(x)), reg_lower_inc_gamma(2.5, x / 1.7),
-                            rtol=0, atol=1e-13)
+        # F(x) = P(a, x / scale) against the frozen mpmath values
+        for a, x, ref in P_TABLE:
+            gc = make_convolution(a, [1.7])
+            assert_allclose(float(gc.cdf(1.7 * x)), ref, rtol=0, atol=1e-13, err_msg=f"{a},{x}")
 
     def test_exponential_pair_closed_form(self):
         for d in (0.1, 0.25, 0.4, 0.7, 0.9):

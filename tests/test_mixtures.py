@@ -22,11 +22,14 @@ from gammacross.mixtures import (
 
 class TestMixtureWeight:
     def test_closed_form_value(self):
-        # lam = (a/x0)(1 - a + x0)/(a - x0) for a < 1
+        # the defining equation lam g_{1+a}'(x0) + g_a'(x0) = 0, relative to
+        # the size of its two terms, on both sides of a = 1
         assert lemma3_lambda(0.5, 0.1) == pytest.approx(7.5, rel=1e-12)
-        a, x0 = 0.7, 0.2
-        ref = (a / x0) * (1.0 - a + x0) / (a - x0)
-        assert lemma3_lambda(a, x0) == pytest.approx(ref, rel=1e-12)
+        for a, x0 in ((0.5, 0.1), (0.7, 0.2), (0.05, 0.01), (0.95, 0.9), (2.0, 1.5)):
+            lam = lemma3_lambda(a, x0)
+            hi = lam * float(gamma_unit(1.0 + a).d1(x0))
+            lo = float(gamma_unit(a).d1(x0))
+            assert abs(hi + lo) <= 1e-13 * (abs(hi) + abs(lo)), (a, x0)
 
     def test_positive_inside_mode_gap(self):
         assert lemma3_lambda(2.0, 1.5) > 0.0

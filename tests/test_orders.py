@@ -59,11 +59,6 @@ class TestLogMajorizes:
     def test_unequal_products_fail_strict(self):
         assert not log_majorizes([1.0, 4.0], [2.0, 3.0])
 
-    def test_weak_variant_drops_total_equality(self):
-        assert not log_majorizes([3.0, 4.0], [2.0, 2.0])
-        assert log_majorizes([3.0, 4.0], [2.0, 2.0], weak=True)
-        assert not log_majorizes([1.0, 4.0], [2.0, 3.0], weak=True)
-
     def test_positivity_domain(self):
         with pytest.raises(DomainError):
             log_majorizes([0.0, 1.0], [1.0, 1.0])
