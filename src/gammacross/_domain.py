@@ -4,7 +4,7 @@ Every check here raises DomainError on bad input and otherwise returns the
 validated input, if any, as the type the callers compute with.  A weight
 vector is 1-d, nonempty, finite and nonnegative with at least one positive
 entry; a window is an interval with 0 < lo < hi < inf; a crossing scan has
-at least 64 grid points and a tolerance in (0, 1).
+64 to 2**20 grid points and a tolerance in (0, 1).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = ["check_alpha", "check_weights", "check_pair", "check_window", "check_
            "tie_tol"]
 
 _TIE_RTOL = 1e-12
+_MAX_GRID = 2**20  # a scan holds a few arrays of this many doubles
 
 
 def check_alpha(alpha) -> float:
@@ -57,6 +58,8 @@ def check_window(window) -> tuple[float, float]:
 def check_scan(grid_size: int, tol: float) -> None:
     if grid_size < 64:
         raise DomainError("grid_size must be at least 64")
+    if grid_size > _MAX_GRID:
+        raise DomainError(f"grid_size must be at most {_MAX_GRID}, got {grid_size}")
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must be in (0, 1), got {tol!r}")
 

@@ -206,8 +206,13 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
     inequality, and re-certifies the crossing pattern at `grid_factor` times
     the grid and `tol_factor` times the tolerance; crossing locations must
     reproduce, one crossing must sit inside (x0 - w, x0 + w), and every
-    margin must exceed 100x the engine error estimate.
+    margin must exceed 100x the engine error estimate.  The re-check may only
+    be finer than the certificate: grid_factor >= 1 and tol_factor in (0, 1].
     """
+    if not grid_factor >= 1:
+        raise DomainError(f"grid_factor must be at least 1, got {grid_factor!r}")
+    if not 0.0 < tol_factor <= 1.0:
+        raise DomainError(f"tol_factor must be in (0, 1], got {tol_factor!r}")
     clauses: list[ClauseResult] = []
 
     def clause(name: str, passed: bool, detail: str):
@@ -244,7 +249,7 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
            f"log prod theta={lp_t:.12g} log prod eta={lp_e:.12g}")
 
     rep = sign_profile(cert.theta, cert.eta, a,
-                       grid_size=cert.grid_size * max(1, int(grid_factor)),
+                       grid_size=cert.grid_size * int(grid_factor),
                        tol=cert.tol * float(tol_factor),
                        seed_window=perturbation_root_window(cert.theta, a))
     clause("recount_classification",

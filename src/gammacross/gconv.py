@@ -199,25 +199,12 @@ class GammaConvolution:
         return out
 
 
-def make_convolution(alpha: float, weights: Sequence[float],
-                     supplements: Sequence[int] = ()) -> GammaConvolution:
+def make_convolution(alpha: float, weights: Sequence[float]) -> GammaConvolution:
     """Convolution sum(weights_i * gamma(alpha, 1)) at common shape alpha.
-
-    Zero weights are dropped.  Each index in `supplements` adds one unit of
-    shape to that weight's component (an independent exponential at the same
-    scale); supplement indices must point at positive weights.
-    """
+    Zero weights are dropped."""
     alpha = check_alpha(alpha)
-    ws = check_weights("weights", weights).tolist()
-    extra = [0] * len(ws)
-    for i in supplements:
-        if not (0 <= int(i) < len(ws)):
-            raise DomainError(f"supplement index {i!r} out of range")
-        if ws[int(i)] == 0.0:
-            raise DomainError(f"supplement index {i!r} points at a zero weight")
-        extra[int(i)] += 1
-    comps = [GammaComponent(alpha + k, w) for w, k in zip(ws, extra) if w > 0.0]
-    return GammaConvolution(tuple(comps))
+    ws = check_weights("weights", weights)
+    return GammaConvolution(tuple(GammaComponent(alpha, float(w)) for w in ws if w > 0.0))
 
 
 # -- series construction --------------------------------------------------

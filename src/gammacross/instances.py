@@ -24,13 +24,10 @@ __all__ = [
 
 
 def random_majorized_pair(rng: np.random.Generator, n: int, lo: float = 0.2,
-                          hi: float = 4.0, transfers: int = 0):
-    """(theta, eta) with eta strictly majorized by theta.
-
-    eta is a uniform contraction toward the mean (strictly inside, so the
-    maximum strictly drops and the product strictly rises), optionally
-    followed by a few Robin Hood transfers that keep majorization strict.
-    """
+                          hi: float = 4.0):
+    """(theta, eta) with eta strictly majorized by theta: a uniform
+    contraction toward the mean (strictly inside, so the maximum strictly
+    drops and the product strictly rises)."""
     if n < 2:
         raise DomainError("need n >= 2")
     theta = rng.uniform(lo, hi, n)
@@ -38,16 +35,6 @@ def random_majorized_pair(rng: np.random.Generator, n: int, lo: float = 0.2,
         theta = rng.uniform(lo, hi, n)
     t = rng.uniform(0.15, 0.85)
     eta = (1.0 - t) * theta + t * theta.mean()
-    for _ in range(transfers):
-        i, j = int(np.argmin(eta)), int(np.argmax(eta))
-        if i == j:
-            break
-        room = 0.25 * (eta[j] - eta[i])
-        if room <= 0.0:
-            break
-        d = rng.uniform(0.0, room)
-        eta[j] -= d
-        eta[i] += d
     return theta, eta
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gammacross import cli, gconv
+from gammacross.counterexample import build_counterexample
 
 
 def run(capsys, argv):
@@ -107,6 +108,13 @@ class TestCheck:
         assert code == 1 and "cannot parse number" in err
 
 
+@pytest.fixture(scope="module")
+def cert_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    path.write_text(build_counterexample(0.5).to_json())
+    return path
+
+
 class TestCounterexampleVerify:
     def test_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -139,6 +147,21 @@ class TestCounterexampleVerify:
         code, _, err = run(capsys, ["verify", "--cert", str(tmp_path / "no.json")])
         assert code == 1
         assert "file not found" in err
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--grid-factor", "0"], "grid_factor must be at least 1"),
+        (["--grid-factor", "-3"], "grid_factor must be at least 1"),
+        (["--tol-factor", "4"], "tol_factor must be in (0, 1]"),
+        (["--tol-factor", "0"], "tol_factor must be in (0, 1]"),
+        # 2048 * 10**6 points: rejected before the scan allocates anything
+        (["--grid-factor", "1000000"], "grid_size must be at most 1048576"),
+    ], ids=["grid_factor_0", "grid_factor_negative", "tol_factor_4", "tol_factor_0",
+            "grid_factor_1e6"])
+    def test_scan_settings_out_of_range(self, capsys, cert_path, extra, message):
+        # the re-check may be finer than the certificate, never coarser
+        code, out, err = run(capsys, ["verify", "--cert", str(cert_path)] + extra)
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_certificate_path_is_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", "--cert", str(tmp_path)])
@@ -191,6 +214,7 @@ class TestSweep:
     def test_invalid_scan_settings_rejected_like_check(self, capsys):
         # check and sweep reject the same values, before any row is written
         for extra, message in ((["--grid-size", "8"], "grid_size must be at least 64"),
+                               (["--grid-size", "1048577"], "grid_size must be at most"),
                                (["--tol", "2"], "tol must be in (0, 1)"),
                                (["--alpha", "-1"], "alpha must be positive")):
             for argv in (["check", "--alpha", "1", "--theta", "1,4", "--eta", "2,3"],

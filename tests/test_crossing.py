@@ -21,7 +21,7 @@ from gammacross.crossing import (
     _runs,
 )
 from gammacross.errors import DomainError
-from gammacross.gconv import make_convolution
+from gammacross.gconv import GammaConvolution, make_convolution
 
 
 def hypoexp_cdf_diff(x):
@@ -95,12 +95,33 @@ class TestSignProfile:
         assert c.margin > 100.0 * rep.error_estimate
         assert rep.near_zero == "-" and rep.tail == "+"
 
-    def test_window_invariance(self):
-        rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0)
-        lo, hi = rep.window
-        wide = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0, window=(lo / 4.0, hi * 4.0))
-        assert wide.classification is Classification.SINGLE_CROSSING_BELOW
-        assert abs(wide.crossings[0].location - rep.crossings[0].location) < 1e-7
+    def test_grid_size_invariance(self):
+        rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0, grid_size=2048)
+        fine = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0, grid_size=4096)
+        assert fine.classification is rep.classification
+        assert fine.classification is Classification.SINGLE_CROSSING_BELOW
+        x, x_fine = rep.crossings[0].location, fine.crossings[0].location
+        assert abs(x_fine - x) <= 1e-9 * x
+
+    @pytest.mark.parametrize("seed_window", [None, (1.0, 20.0)])
+    def test_one_grid_evaluation_per_side(self, monkeypatch, seed_window):
+        # D is evaluated on the grid once; every other CDF call is a scalar
+        # one from a quantile or from Brent's method
+        calls = []
+        real = GammaConvolution.cdf
+
+        def recording(self, x):
+            calls.append((self, np.size(x)))
+            return real(self, x)
+
+        monkeypatch.setattr(GammaConvolution, "cdf", recording)
+        rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0, seed_window=seed_window)
+        assert rep.n_crossings == 1
+        grid_calls = [(conv, size) for conv, size in calls if size > 1]
+        assert len(grid_calls) == 2
+        (conv_a, size_a), (conv_b, size_b) = grid_calls
+        assert conv_a.components != conv_b.components
+        assert size_a == size_b == rep.grid_size + (0 if seed_window is None else 256)
 
     def test_identical_multisets_short_circuit(self):
         rep = sign_profile([2.0, 1.0], [1.0, 2.0], 0.7)
@@ -164,11 +185,11 @@ class TestSignProfile:
         with pytest.raises(DomainError):
             sign_profile([1.0, 2.0], [1.0, 2.0], 1.0, grid_size=32)
         with pytest.raises(DomainError):
+            sign_profile([1.0, 2.0], [1.0, 2.0], 1.0, grid_size=2**20 + 1)
+        with pytest.raises(DomainError):
             sign_profile([1.0, 2.0], [1.0, 2.0], 1.0, tol=0.0)
         with pytest.raises(DomainError):
             sign_profile([1.0, 2.0], [1.0, 2.0], 1.0, tol=1.5)
-        with pytest.raises(DomainError):
-            sign_profile([1.0, 2.0], [1.0, 2.0], 1.0, window=(2.0, 1.0))
         with pytest.raises(DomainError):
             sign_profile([1.0, 2.0], [1.0, 2.0, 3.0], 1.0)
         with pytest.raises(DomainError):

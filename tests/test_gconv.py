@@ -50,12 +50,6 @@ class TestConstruction:
         gc = make_convolution(0.5, [2.0, 2.0, 5.0])
         assert [(c.shape, c.scale) for c in gc.components] == [(1.0, 2.0), (0.5, 5.0)]
 
-    def test_supplements_add_shape(self):
-        gc = make_convolution(1.0, [0.4, 1.0], supplements=[0, 1])
-        assert [(c.shape, c.scale) for c in gc.components] == [(2.0, 0.4), (2.0, 1.0)]
-        gc2 = make_convolution(1.0, [0.4, 1.0], supplements=[1, 1])
-        assert [(c.shape, c.scale) for c in gc2.components] == [(1.0, 0.4), (3.0, 1.0)]
-
     def test_zero_weights_dropped(self):
         gc = make_convolution(2.0, [0.0, 1.5, 0.0])
         assert [(c.shape, c.scale) for c in gc.components] == [(2.0, 1.5)]
@@ -75,10 +69,6 @@ class TestConstruction:
             make_convolution(1.0, [-0.5, 1.0])
         with pytest.raises(DomainError):
             make_convolution(1.0, [0.0, 0.0])
-        with pytest.raises(DomainError):
-            make_convolution(1.0, [1.0], supplements=[3])
-        with pytest.raises(DomainError):
-            make_convolution(1.0, [0.0, 1.0], supplements=[0])
         with pytest.raises(DomainError):
             GammaComponent(1.0, -2.0)
         with pytest.raises(DomainError):
