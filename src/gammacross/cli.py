@@ -32,7 +32,7 @@ from .crossing import (
 from .errors import DomainError, GammaCrossError, SearchExhaustedError
 from .gconv import make_convolution
 from .instances import random_majorized_pair
-from .orders import log_majorizes, majorizes, st_dominates, st_grid, v_majorizes
+from .orders import log_majorizes, majorizes, st_dominates, v_majorizes
 
 __all__ = ["main"]
 
@@ -92,7 +92,6 @@ def _order_predicates(rep: CrossingReport) -> dict:
     th, et, a = list(rep.theta), list(rep.eta), rep.alpha
     gt = make_convolution(a, th)
     ge = make_convolution(a, et)
-    grid = st_grid(gt, ge)
     return {
         "eta_majorized_by_theta": majorizes(th, et),
         "theta_majorized_by_eta": majorizes(et, th),
@@ -101,8 +100,8 @@ def _order_predicates(rep: CrossingReport) -> dict:
         "log_theta_majorized_by_log_eta": (
             all(v > 0 for v in th + et) and log_majorizes(et, th)),
         "v_witness_theta_over_eta": v_majorizes(th, et) is not None,
-        "theta_st_below_eta": st_dominates(gt, ge, grid=grid),
-        "eta_st_below_theta": st_dominates(ge, gt, grid=grid),
+        "theta_st_below_eta": st_dominates(gt, ge),
+        "eta_st_below_theta": st_dominates(ge, gt),
     }
 
 

@@ -1,17 +1,18 @@
 """Certified sign analysis of D(x) = F_eta(x) - F_theta(x).
 
-The certifier evaluates D once on a log-spaced grid over the joint
-(1e-12, 1 - 1e-12) quantile window and groups grid points with |D| > tol
-into certified sign runs.  Between two runs of opposite sign, the last point
-of the first and the first point of the second bracket a root of D, which
-Brent's method locates to relative accuracy 1e-10.  Endpoint behavior is
-pinned analytically: near zero the sign of D equals the sign of
+The certifier evaluates D once on a log-spaced grid over the closed-form
+window `gconv.tail_window(.., 1e-12)` (from beta_min G <= S <= beta_max G,
+G ~ gamma(rho, 1)), outside which |D| <= 1e-12 < tol, and groups grid points
+with |D| > tol into certified sign runs.  Between two runs of opposite sign,
+the last point of the first and the first point of the second bracket a root
+of D, which Brent's method locates to relative accuracy 1e-10.  Endpoint
+behavior is pinned analytically: near zero the sign of D equals the sign of
 prod(theta) - prod(eta) (the CDF ratio tends to a power of the product
 ratio), and in the far tail the largest scale wins, then its multiplicity,
 then the constant of the survival asymptotics.  An endpoint sign that
 contradicts the adjacent certified run, or any sub-tolerance zone between
-same-sign runs, downgrades the outcome to UNDECIDED; certified crossings
-are never silently invented or dropped.
+same-sign runs, downgrades the outcome to UNDECIDED; certified crossings are
+never silently invented or dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,7 +27,7 @@ from scipy.special import betainc
 
 from ._domain import check_alpha, check_pair, check_scan, check_weights, tie_tol
 from .errors import DomainError
-from .gconv import GammaComponent, GammaConvolution, make_convolution
+from .gconv import GammaComponent, GammaConvolution, make_convolution, tail_window
 from .orders import log_majorizes
 
 __all__ = [
@@ -193,10 +193,6 @@ class _Run:
     peak: float
 
 
-def _classify_signs(d: np.ndarray, tol: float) -> np.ndarray:
-    return np.where(d > tol, 1, np.where(d < -tol, -1, 0)).astype(int)
-
-
 def _runs(signs: np.ndarray, d: np.ndarray) -> list[_Run]:
     # Maximal blocks of consecutive identical nonzero signs.  Zeros split
     # runs: a zero gap between same-sign runs is a sub-tolerance dip and the
@@ -217,11 +213,13 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
                  seed_window: tuple[float, float] | None = None) -> CrossingReport:
     """Certify the sign runs and crossings of D(x) = F_eta(x) - F_theta(x).
 
-    Evaluates D on `grid_size` log-spaced points over the joint (1e-12,
-    1 - 1e-12) quantile span, plus 256 points on `seed_window` (an interval
-    expected to hold crossings, clipped to that span) when one is given,
-    and assembles certified runs where |D| > tol.  Each pair of adjacent
-    runs of opposite sign brackets one crossing, solved by Brent's method.
+    Evaluates D on `grid_size` log-spaced points over the closed-form
+    window `tail_window(F_theta, F_eta, 1e-12)`, outside which |D| <= 1e-12,
+    plus 256 points on `seed_window` (an interval expected to hold
+    crossings, clipped to the window) when one is given, and assembles
+    certified runs where |D| > tol.  Each pair of adjacent runs of opposite
+    sign brackets one crossing, solved by Brent's method.  ConvergenceError
+    if the window leaves the double range (shapes near 0.01 and below).
     """
     t, e = check_pair(theta, eta)
     a = check_alpha(alpha)
@@ -230,8 +228,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
     gc_t = make_convolution(a, t)
     gc_e = make_convolution(a, e)
     err_est = gc_t.error_estimate + gc_e.error_estimate
-    lo = min(gc_t.quantile(1e-12), gc_e.quantile(1e-12))
-    hi = max(gc_t.quantile(1.0 - 1e-12), gc_e.quantile(1.0 - 1e-12))
+    lo, hi = tail_window(gc_t, gc_e, 1e-12)
     near, tail = _near_zero(t, e), _tail(t, e)
 
     def base_report(classification, sign_sequence=(), crossings=(), notes=()):
@@ -262,7 +259,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
         return gc_e.cdf(pts) - gc_t.cdf(pts)
 
     d = dval(xs)
-    signs = _classify_signs(d, tol)
+    signs = np.where(d > tol, 1, np.where(d < -tol, -1, 0))
     runs = _runs(signs, d)
 
     undecided = [f"sub-tolerance zone between same-sign runs near x={xs[r1.last]:.6g}"
@@ -292,15 +289,12 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
                else Classification.SINGLE_CROSSING_ABOVE)
     else:
         cls = Classification.MULTI
-    return base_report(cls, sign_sequence=_seq(runs), crossings=crossings, notes=undecided)
+    return base_report(cls, sign_sequence=[str(_sign(r)) for r in runs],
+                       crossings=crossings, notes=undecided)
 
 
 def _sign(run: _Run) -> Sign:
     return Sign.PLUS if run.sign > 0 else Sign.MINUS
-
-
-def _seq(runs: Sequence[_Run]) -> tuple[str, ...]:
-    return tuple("+" if r.sign > 0 else "-" for r in runs)
 
 
 # -- two-component mixing comparison ----------------------------------------

@@ -52,6 +52,7 @@ __all__ = [
     "GammaComponent",
     "GammaConvolution",
     "make_convolution",
+    "tail_window",
     "EcdfBand",
     "ecdf_band",
     "h1_closed",
@@ -153,18 +154,10 @@ class GammaConvolution:
         return _eval(self, np.asarray(x, dtype=float),
                      lambda s, y, lo, hi: _density_block(s, y, lo, hi, order), order)
 
-    def quantile(self, p: float) -> float:
-        """Inverse CDF for 0 < p < 1.
-
-        The sum lies between beta_min G and beta_max G, G ~ gamma(rho, 1), so
-        the quantile lies in [beta_min g, beta_max g], g = gammaincinv(rho, p).
-        Brent's method solves on that bracket, in the form that is nearly
-        linear there: log F(e^t) = log p in t = log x for p < 1/2, since
-        F ~ c x^rho near zero, and log(1 - F(x)) = log(1 - p) in x otherwise,
-        since 1 - F decays exponentially.  Where rounding puts both bracket
-        ends on one side of p (near-tied scales), the end nearer p is
-        returned.  ConvergenceError if the bracket leaves the double range.
-        """
+    def quantile_bracket(self, p: float) -> tuple[float, float]:
+        """(beta_min g, beta_max g), g = gammaincinv(rho, p), brackets the
+        p-quantile, since beta_min G <= sum <= beta_max G for G ~ gamma(rho, 1).
+        ConvergenceError if the bracket leaves the double range."""
         p = float(p)
         if not (0.0 < p < 1.0):
             raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
@@ -172,6 +165,20 @@ class GammaConvolution:
         lo, hi = self.components[0].scale * g, self.components[-1].scale * g
         if not (0.0 < lo and math.isfinite(hi)):
             raise ConvergenceError(f"quantile bracket outside the double range at p={p}")
+        return lo, hi
+
+    def quantile(self, p: float) -> float:
+        """Inverse CDF for 0 < p < 1.
+
+        Brent's method solves on `quantile_bracket(p)`, in the form that is
+        nearly linear there: log F(e^t) = log p in t = log x for p < 1/2,
+        since F ~ c x^rho near zero, and log(1 - F(x)) = log(1 - p) in x
+        otherwise, since 1 - F decays exponentially.  Where rounding puts
+        both bracket ends on one side of p (near-tied scales), the end nearer
+        p is returned.
+        """
+        p = float(p)
+        lo, hi = self.quantile_bracket(p)
         if lo == hi:
             return lo
         if p < 0.5:  # solve in t = log x, to relative accuracy in x
@@ -197,6 +204,14 @@ class GammaConvolution:
         for c in self.components:
             out += c.scale * _gamma_variates(rng, c.shape, n)
         return out
+
+
+def tail_window(a: GammaConvolution, b: GammaConvolution, p: float) -> tuple[float, float]:
+    """Interval outside which both CDFs (below it) and both survival
+    functions (above it) are at most p, from the quantile brackets alone."""
+    lo = min(a.quantile_bracket(p)[0], b.quantile_bracket(p)[0])
+    hi = max(a.quantile_bracket(1.0 - p)[1], b.quantile_bracket(1.0 - p)[1])
+    return lo, hi
 
 
 def make_convolution(alpha: float, weights: Sequence[float]) -> GammaConvolution:

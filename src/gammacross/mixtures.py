@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import densities
-from ._domain import check_alpha, check_window
+from ._domain import check_alpha, check_grid_size, check_window
 from .densities import SmoothDensity
 from .errors import DomainError, UndecidedError
 
@@ -126,9 +126,7 @@ def mode_structure(f: SmoothDensity, window: tuple[float, float],
     of f' on a log grid, solve f' = 0 on each bracket by Brent's method to
     relative accuracy 1e-13, and classify by f'' against 1e-9."""
     lo, hi = check_window(window)
-    if grid_size < 32:
-        raise DomainError("grid_size must be at least 32")
-    xs = np.geomspace(lo, hi, grid_size)
+    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 32))
     d1 = np.asarray(f.d1(xs), dtype=float)
     if not np.all(np.isfinite(d1)):
         raise DomainError("f' is not finite on the window")
@@ -155,7 +153,7 @@ def logconcavity_check(f: SmoothDensity, window: tuple[float, float],
     """Certify strict log-concavity on the window: (f'^2 - f'' f) / f^2 >= tol
     at every grid point, i.e. a positive lower bound on (-log f)''."""
     lo, hi = check_window(window)
-    xs = np.geomspace(lo, hi, grid_size)
+    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 16))
     v = np.asarray(f.value(xs), dtype=float)
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise DomainError("density must be positive and finite on the window")
@@ -171,7 +169,7 @@ def mixcond_check(f1: SmoothDensity, f2: SmoothDensity, window: tuple[float, flo
     p with p f1' + (1-p) f2' = 0 then has p f1'' + (1-p) f2'' < 0, so no
     mixture of f1, f2 can have a local minimum there."""
     lo, hi = check_window(window)
-    xs = np.geomspace(lo, hi, grid_size)
+    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 16))
     f1p = np.asarray(f1.d1(xs), dtype=float)
     f2p = np.asarray(f2.d1(xs), dtype=float)
     mask = (f1p < -tol) & (f2p > tol)

@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._domain import check_pair, check_weights, check_window, tie_tol
+from ._domain import check_grid_size, check_pair, check_weights, check_window, tie_tol
 from .densities import SmoothDensity
 from .errors import DomainError, UndecidedError
-from .gconv import GammaConvolution
+from .gconv import GammaConvolution, tail_window
 
 __all__ = [
     "majorizes",
@@ -29,7 +29,6 @@ __all__ = [
     "VMajWitness",
     "v_majorizes",
     "v_majorizes_brute",
-    "st_grid",
     "st_dominates",
     "star_order_check",
     "slr_check",
@@ -43,15 +42,7 @@ def majorizes(theta, eta) -> bool:
     se = math.fsum(e)
     if abs(st - se) > tie_tol(st, se):
         return False
-    td = np.sort(t)[::-1]
-    ed = np.sort(e)[::-1]
-    pt = pe = 0.0
-    for i in range(t.size - 1):
-        pt += td[i]
-        pe += ed[i]
-        if pt < pe - tie_tol(pt, pe):
-            return False
-    return True
+    return _partial_sums_dominate(np.sort(t)[::-1], np.sort(e)[::-1])
 
 
 def log_majorizes(theta, eta) -> bool:
@@ -61,15 +52,23 @@ def log_majorizes(theta, eta) -> bool:
         raise DomainError("log_majorizes requires strictly positive entries")
     lt = np.sort(np.log(t))[::-1]
     le = np.sort(np.log(e))[::-1]
-    pt = pe = 0.0
-    for i in range(t.size - 1):
-        pt += lt[i]
-        pe += le[i]
-        if pt < pe - tie_tol(pt, pe):
-            return False
+    if not _partial_sums_dominate(lt, le):
+        return False
     st = math.fsum(lt)
     se = math.fsum(le)
     return abs(st - se) <= tie_tol(st, se)
+
+
+def _partial_sums_dominate(a: np.ndarray, b: np.ndarray) -> bool:
+    """Every leading partial sum of the descending vector a, but the full
+    one, is at least that of b up to the tie tolerance; summed in order."""
+    pa = pb = 0.0
+    for i in range(a.size - 1):
+        pa += a[i]
+        pb += b[i]
+        if pa < pb - tie_tol(pa, pb):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -115,47 +114,45 @@ def v_majorizes(theta, eta) -> VMajWitness | None:
     tried first, so plainly majorizing pairs return theta itself.
     """
     t, e = map(np.sort, check_pair(theta, eta))
-    n = t.size
     target = math.fsum(e)
-    for k1 in range(0, n + 1):
-        for k2 in range(n + 1, 0, -1):
-            boxes = _vmaj_boxes(t, e, k1, k2)
-            if boxes is None:
-                continue
-            lo, hi = boxes
-            cand = _water_fill(lo, hi, target)
-            if cand is None:
-                continue
-            cand = np.sort(cand)
-            if _witness_valid(t, e, cand, k1, k2):
-                return VMajWitness(tuple(float(v) for v in cand), k1, k2)
+    for k1, k2, lo, hi in _vmaj_boxes(t, e):
+        cand = _water_fill(lo, hi, target)
+        if cand is None:
+            continue
+        cand = np.sort(cand)
+        if _witness_valid(t, e, cand, k1, k2):
+            return VMajWitness(tuple(float(v) for v in cand), k1, k2)
     return None
 
 
-def _vmaj_boxes(t: np.ndarray, e: np.ndarray, k1: int, k2: int):
+def _vmaj_boxes(t: np.ndarray, e: np.ndarray):
+    """(k1, k2, lo, hi): per-position bounds for each feasible (k1, k2), in search order."""
     n = t.size
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        pos = i + 1
-        tol = tie_tol(t[i], e[i])
-        in_low = pos <= k1
-        in_high = pos >= k2
-        if in_low and in_high:
-            if abs(t[i] - e[i]) > tol:
-                return None
-            lo[i] = hi[i] = t[i]
-        elif in_low:
-            if t[i] > e[i] + tol:
-                return None
-            lo[i], hi[i] = t[i], max(t[i], e[i])
-        elif in_high:
-            if e[i] > t[i] + tol:
-                return None
-            lo[i], hi[i] = min(t[i], e[i]), t[i]
-        else:
-            lo[i] = hi[i] = t[i]
-    return lo, hi
+    for k1 in range(0, n + 1):
+        for k2 in range(n + 1, 0, -1):
+            lo = np.empty(n)
+            hi = np.empty(n)
+            for i in range(n):
+                pos = i + 1
+                tol = tie_tol(t[i], e[i])
+                in_low = pos <= k1
+                in_high = pos >= k2
+                if in_low and in_high:
+                    if abs(t[i] - e[i]) > tol:
+                        break
+                    lo[i] = hi[i] = t[i]
+                elif in_low:
+                    if t[i] > e[i] + tol:
+                        break
+                    lo[i], hi[i] = t[i], max(t[i], e[i])
+                elif in_high:
+                    if e[i] > t[i] + tol:
+                        break
+                    lo[i], hi[i] = min(t[i], e[i]), t[i]
+                else:
+                    lo[i] = hi[i] = t[i]
+            else:
+                yield k1, k2, lo, hi
 
 
 def _water_fill(lo: np.ndarray, hi: np.ndarray, target: float):
@@ -186,45 +183,36 @@ def v_majorizes_brute(theta, eta, step: float) -> bool:
         raise DomainError("brute force is limited to n <= 4")
     if not (step > 0.0 and math.isfinite(step)):
         raise DomainError(f"step must be positive, got {step!r}")
-    n = t.size
     target = math.fsum(e)
-    for k1 in range(0, n + 1):
-        for k2 in range(n + 1, 0, -1):
-            boxes = _vmaj_boxes(t, e, k1, k2)
-            if boxes is None:
+    for k1, k2, lo, hi in _vmaj_boxes(t, e):
+        axes = []
+        for i in range(t.size):
+            m = int(round((hi[i] - lo[i]) / step))
+            vals = lo[i] + step * np.arange(0, m + 1)
+            vals = vals[vals <= hi[i] + 1e-9 * step]
+            if len(vals) == 0 or vals[-1] < hi[i] - 1e-9 * step:
+                vals = np.append(vals, hi[i])
+            axes.append(vals)
+        for combo in _iter_product(*axes):
+            cand = np.sort(np.asarray(combo))
+            if abs(math.fsum(cand) - target) > tie_tol(target) + 1e-9 * step:
                 continue
-            lo, hi = boxes
-            axes = []
-            for i in range(n):
-                m = int(round((hi[i] - lo[i]) / step))
-                vals = lo[i] + step * np.arange(0, m + 1)
-                vals = vals[vals <= hi[i] + 1e-9 * step]
-                if len(vals) == 0 or vals[-1] < hi[i] - 1e-9 * step:
-                    vals = np.append(vals, hi[i])
-                axes.append(vals)
-            for combo in _iter_product(*axes):
-                cand = np.sort(np.asarray(combo))
-                if abs(math.fsum(cand) - target) > tie_tol(target) + 1e-9 * step:
-                    continue
-                if _witness_valid(t, e, cand, k1, k2):
-                    return True
+            if _witness_valid(t, e, cand, k1, k2):
+                return True
     return False
-
-
-def st_grid(a: GammaConvolution, b: GammaConvolution) -> np.ndarray:
-    """Default grid of `st_dominates`: 512 log-spaced points spanning the
-    (1e-9, 1 - 1e-9) quantile range of both distributions.  Symmetric in
-    its arguments, so one grid serves both directions of a comparison."""
-    lo = min(a.quantile(1e-9), b.quantile(1e-9))
-    hi = max(a.quantile(1.0 - 1e-9), b.quantile(1.0 - 1e-9))
-    return np.geomspace(lo, hi, 512)
 
 
 def st_dominates(lower: GammaConvolution, upper: GammaConvolution,
                  grid=None, tol: float = 1e-8) -> bool:
     """True iff F_lower(x) >= F_upper(x) - tol on the grid (i.e. `lower` is
-    stochastically smaller); the default grid is `st_grid(lower, upper)`."""
-    grid = np.asarray(st_grid(lower, upper) if grid is None else grid, dtype=float)
+    stochastically smaller).  The default grid is 512 log-spaced points over
+    the closed-form `tail_window(lower, upper, 1e-9)`, outside which both
+    CDFs differ by at most 1e-9; an explicit grid must be nonempty and 1-d."""
+    if grid is None:
+        grid = np.geomspace(*tail_window(lower, upper, 1e-9), 512)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError("grid must be a nonempty 1-d array")
     return bool(np.all(lower.cdf(grid) >= upper.cdf(grid) - tol))
 
 
@@ -236,10 +224,10 @@ def star_order_check(theta, eta, alpha: float, c_values: Sequence[float],
     from .crossing import Classification, sign_profile  # cycle: orders <-> crossing
 
     t = check_weights("theta", theta)
-    for c in c_values:
-        c = float(c)
-        if not (c > 0.0 and math.isfinite(c)):
-            raise DomainError(f"c values must be positive, got {c!r}")
+    cs = check_weights("c_values", c_values)
+    if np.any(cs == 0.0):
+        raise DomainError("c values must be positive")
+    for c in cs:
         rep = sign_profile(t / c, eta, alpha, grid_size=grid_size, tol=tol)
         if rep.classification is Classification.UNDECIDED:
             raise UndecidedError(f"star order scan undecided at c={c}")
@@ -255,9 +243,7 @@ def slr_check(f: SmoothDensity, g: SmoothDensity, window: tuple[float, float],
     (a) f' g <= f g' everywhere, and (b) f'/g' nonincreasing along each of
     the restricted sets {f' > tol} and {g' < -tol}."""
     lo, hi = check_window(window)
-    if grid_size < 16:
-        raise DomainError("grid_size must be at least 16")
-    xs = np.geomspace(lo, hi, grid_size)
+    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 16))
     fv = np.asarray(f.value(xs), dtype=float)
     fp = np.asarray(f.d1(xs), dtype=float)
     gv = np.asarray(g.value(xs), dtype=float)
@@ -270,11 +256,9 @@ def slr_check(f: SmoothDensity, g: SmoothDensity, window: tuple[float, float],
     for mask in (fp > tol, gp < -tol):
         if np.count_nonzero(mask) < 2:
             continue
-        num = fp[mask]
-        den = gp[mask]
-        if np.any(np.abs(den) < 1e-300):
+        if np.any(np.abs(gp[mask]) < 1e-300):
             return False
-        ratio = num / den
+        ratio = fp[mask] / gp[mask]
         step_slack = tol * np.maximum(1.0, np.abs(ratio[:-1]))
         if not np.all(ratio[1:] <= ratio[:-1] + step_slack):
             return False

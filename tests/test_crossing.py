@@ -20,7 +20,7 @@ from gammacross.crossing import (
     u_star,
     _runs,
 )
-from gammacross.errors import DomainError
+from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import GammaConvolution, make_convolution
 
 
@@ -106,7 +106,7 @@ class TestSignProfile:
     @pytest.mark.parametrize("seed_window", [None, (1.0, 20.0)])
     def test_one_grid_evaluation_per_side(self, monkeypatch, seed_window):
         # D is evaluated on the grid once; every other CDF call is a scalar
-        # one from a quantile or from Brent's method
+        # one from Brent's method
         calls = []
         real = GammaConvolution.cdf
 
@@ -122,6 +122,34 @@ class TestSignProfile:
         (conv_a, size_a), (conv_b, size_b) = grid_calls
         assert conv_a.components != conv_b.components
         assert size_a == size_b == rep.grid_size + (0 if seed_window is None else 256)
+
+    def test_window_ignores_cdf_rounding(self, monkeypatch):
+        # the window is closed-form, so a CDF moved by 4e-14, the size of its
+        # rounding, moves neither the window nor the verdict
+        args = ([0.3, 0.9, 2.5], [0.8, 1.0, 1.9], 2.0)
+        rep = sign_profile(*args)
+        real = GammaConvolution.cdf
+        monkeypatch.setattr(GammaConvolution, "cdf",
+                            lambda self, x: real(self, x) * (1.0 + 4e-14))
+        moved = sign_profile(*args)
+        assert moved.window == rep.window
+        assert moved.classification is rep.classification
+
+    def test_window_holds_the_quantile_span(self):
+        rng = np.random.default_rng(1018)
+        for i in range(48):
+            n, a = 2 + i % 7, (0.5, 1.0, 3.0)[i % 3]
+            t, e = rng.uniform(0.2, 5.0, n), rng.uniform(0.2, 5.0, n)
+            lo, hi = sign_profile(t, e, a, grid_size=64).window
+            gt, ge = make_convolution(a, t), make_convolution(a, e)
+            q_lo = min(gt.quantile(1e-12), ge.quantile(1e-12))
+            q_hi = max(gt.quantile(1.0 - 1e-12), ge.quantile(1.0 - 1e-12))
+            assert lo <= q_lo * (1.0 + 1e-10) and hi >= q_hi * (1.0 - 1e-10), (n, a)
+
+    def test_window_below_the_double_range(self):
+        # at alpha = 0.01 the lower end of the window is near 1e-600
+        with pytest.raises(ConvergenceError):
+            sign_profile([1.0, 4.0], [2.0, 3.0], 0.01)
 
     def test_identical_multisets_short_circuit(self):
         rep = sign_profile([2.0, 1.0], [1.0, 2.0], 0.7)

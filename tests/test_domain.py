@@ -3,9 +3,11 @@ with DomainError."""
 
 import math
 
+import numpy as np
 import pytest
 
 import gammacross as gx
+from gammacross import gconv
 from gammacross.errors import DomainError
 
 GOOD = [1.0, 2.0]
@@ -42,6 +44,23 @@ WEIGHT_ENTRY_POINTS = {
     "star_order_check": lambda w: gx.star_order_check(w, w, 1.0, [1.0]),
 }
 
+# every argument that sizes a grid, each with its own minimum
+GRID_ENTRY_POINTS = {
+    "sign_profile": lambda n: gx.sign_profile(GOOD, [1.5, 1.5], 1.0, grid_size=n),
+    "star_order_check": lambda n: gx.star_order_check(GOOD, GOOD, 1.0, [1.0], grid_size=n),
+    "build_counterexample": lambda n: gx.build_counterexample(0.5, grid_size=n),
+    "mode_structure": lambda n: gx.mode_structure(gx.gamma_unit(2.0), (0.1, 5.0),
+                                                  grid_size=n),
+    "mixture_family_unimodal": lambda n: gx.mixture_family_unimodal(
+        gx.gamma_unit(2.0), gx.gamma_unit(3.0), (0.1, 5.0), grid_size=n),
+    "logconcavity_check": lambda n: gx.logconcavity_check(gx.gamma_unit(0.5), (0.1, 5.0),
+                                                          grid_size=n),
+    "mixcond_check": lambda n: gx.mixcond_check(gx.gamma_unit(0.5), gx.gamma_unit(3.0),
+                                                (0.1, 5.0), grid_size=n),
+    "slr_check": lambda n: gx.slr_check(gx.gamma_unit(2.0), gx.gamma_unit(3.0), (0.1, 5.0),
+                                        grid_size=n),
+}
+
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("name", sorted(ALPHA_ENTRY_POINTS))
@@ -56,3 +75,26 @@ def test_bad_alpha(name, alpha):
 def test_bad_weights(name, weights):
     with pytest.raises(DomainError):
         WEIGHT_ENTRY_POINTS[name](weights)
+
+
+@pytest.mark.parametrize("size", [0, -3, 2.5, 2**20 + 1], ids=["zero", "negative",
+                                                              "fractional", "above_cap"])
+@pytest.mark.parametrize("name", sorted(GRID_ENTRY_POINTS))
+def test_bad_grid_size(name, size, monkeypatch):
+    # rejected before any grid or series is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated before the grid size was checked")
+
+    monkeypatch.setattr(np, "geomspace", unreachable)
+    monkeypatch.setattr(gconv, "_build_series", unreachable)
+    with pytest.raises(DomainError):
+        GRID_ENTRY_POINTS[name](size)
+
+
+def test_no_certificate_from_an_empty_grid():
+    a, b = gx.make_convolution(1.0, [1.0, 4.0]), gx.make_convolution(1.0, [2.0, 3.0])
+    for grid in ([], [[1.0, 2.0]]):
+        with pytest.raises(DomainError):
+            gx.st_dominates(a, b, grid=grid)
+    with pytest.raises(DomainError):
+        gx.star_order_check([2.0, 3.0], [1.0, 4.0], 1.0, [])

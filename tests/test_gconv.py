@@ -30,6 +30,7 @@ from gammacross.gconv import (
     _terms,
     _window,
     make_convolution,
+    tail_window,
 )
 from test_specfun import P_TABLE
 
@@ -299,6 +300,23 @@ class TestQuantile:
                 g = float(gammaincinv(gc.total_shape, p))
                 assert lo * g <= gc.quantile(p) <= hi * g
 
+    def test_bracket_is_the_gamma_sandwich(self):
+        a = make_convolution(0.7, [0.3, 1.0, 2.5])
+        b = make_convolution(0.7, [0.8, 1.1, 1.6])
+        for gc in (a, b):
+            for p in (1e-12, 0.5, 1.0 - 1e-12):
+                g = float(gammaincinv(gc.total_shape, p))
+                assert gc.quantile_bracket(p) == (gc.components[0].scale * g,
+                                                  gc.components[-1].scale * g)
+        lo, hi = tail_window(a, b, 1e-9)
+        assert tail_window(b, a, 1e-9) == (lo, hi)
+        for gc in (a, b):
+            assert gc.cdf(lo) <= 1e-9 and 1.0 - gc.cdf(hi) <= 1e-9
+        with pytest.raises(DomainError):
+            a.quantile_bracket(1.0)
+        with pytest.raises(ConvergenceError):
+            make_convolution(0.01, [0.05, 0.1, 1.0]).quantile_bracket(1e-12)
+
     def test_quantile_calls_per_check(self, monkeypatch, tmp_path, capsys):
         calls = []
         real = GammaConvolution.quantile
@@ -312,9 +330,9 @@ class TestQuantile:
                          "--out", str(tmp_path / "rep.json")])
         capsys.readouterr()
         assert code == 0
-        # the scan window (4) and one stochastic-order grid shared by both
-        # directions (4)
-        assert len(calls) == 8
+        # the scan window and the stochastic-order grids come from the
+        # closed-form quantile brackets; no quantile is solved
+        assert len(calls) == 0
 
 
 class TestSampling:

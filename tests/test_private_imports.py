@@ -1,7 +1,8 @@
 """No module of the package imports a private name from another one, or
-the specfun aliases."""
+the specfun aliases, and every exported name resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gammacross"
@@ -43,3 +44,18 @@ def test_no_module_imports_specfun():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "specfun.py"]
     assert len(modules) > 10
     assert [hit for path in modules for hit in specfun_imports(path)] == []
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module must leave its __all__ too, or
+    # `from module import *` breaks
+    modules = ["gammacross"] + [f"gammacross.{p.stem}" for p in sorted(PACKAGE.glob("*.py"))
+                                if p.stem != "__init__"]
+    exporting = [name for name in modules if hasattr(importlib.import_module(name), "__all__")]
+    assert len(exporting) > 10
+    for name in exporting:
+        module = importlib.import_module(name)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(module.__all__) <= set(namespace), name
