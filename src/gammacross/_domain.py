@@ -3,9 +3,10 @@
 Every check here raises DomainError on bad input and otherwise returns the
 validated input, if any, as the type the callers compute with.  A weight
 vector is 1-d, nonempty, finite and nonnegative with at least one positive
-entry; a window is an interval with 0 < lo < hi < inf; a grid size is an
-integer from the caller's minimum to 2**20; a crossing scan has a grid of at
-least 64 points and a tolerance in (0, 1).
+entry; a window is an interval with 0 < lo < hi < inf; a count is an
+integer of at least the caller's minimum, and a grid size one of at most
+2**20; a crossing scan has a grid of at least 64 points and a tolerance in
+(0, 1).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["check_alpha", "check_weights", "check_pair", "check_window", "check_grid_size",
-           "check_scan", "tie_tol"]
+__all__ = ["check_alpha", "check_weights", "check_pair", "check_window", "check_count",
+           "check_grid_size", "check_scan", "tie_tol"]
 
 _TIE_RTOL = 1e-12
 _MAX_GRID = 2**20  # a scan holds a few arrays of this many doubles
@@ -56,14 +57,19 @@ def check_window(window) -> tuple[float, float]:
     return lo, hi
 
 
+def check_count(name: str, value, minimum: int) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def check_grid_size(grid_size, minimum: int) -> int:
-    if not isinstance(grid_size, (int, np.integer)):
-        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < minimum:
-        raise DomainError(f"grid_size must be at least {minimum}")
-    if grid_size > _MAX_GRID:
-        raise DomainError(f"grid_size must be at most {_MAX_GRID}, got {grid_size}")
-    return int(grid_size)
+    n = check_count("grid_size", grid_size, minimum)
+    if n > _MAX_GRID:
+        raise DomainError(f"grid_size must be at most {_MAX_GRID}, got {n}")
+    return n
 
 
 def check_scan(grid_size: int, tol: float) -> None:

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from ._domain import check_count
 from ._hexjson import dumps, parse_float
 from ._version import ENGINE_VERSION
 from .crossing import (Classification, Crossing, CrossingReport,
@@ -136,8 +137,7 @@ def build_counterexample(alpha: float, x0: float | None = None,
         raise DomainError(
             f"triple crossings require 0 < alpha < 1 (CDF pairs cross once for alpha >= 1), "
             f"got {alpha!r}")
-    if search_budget < 1:
-        raise DomainError("search_budget must be at least 1")
+    search_budget = check_count("search_budget", search_budget, 1)
     w_lo, w_hi = bimodality_window(a)
     x0v = 0.5 * w_hi if x0 is None else float(x0)
     if not (w_lo < x0v < w_hi):
@@ -147,7 +147,7 @@ def build_counterexample(alpha: float, x0: float | None = None,
 
     eps = min(1.0 / (2.0 * lam), 0.25)
     best: CrossingReport | None = None
-    for _ in range(int(search_budget)):
+    for _ in range(search_budget):
         theta, eta, delta = construction(eps, lam)
         if min(theta) <= 0.0 or not majorizes(theta, eta):
             eps /= 2.0
@@ -207,10 +207,10 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
     the grid and `tol_factor` times the tolerance; crossing locations must
     reproduce, one crossing must sit inside (x0 - w, x0 + w), and every
     margin must exceed 100x the engine error estimate.  The re-check may only
-    be finer than the certificate: grid_factor >= 1 and tol_factor in (0, 1].
+    be finer than the certificate: an integer grid_factor >= 1 and tol_factor
+    in (0, 1].
     """
-    if not grid_factor >= 1:
-        raise DomainError(f"grid_factor must be at least 1, got {grid_factor!r}")
+    grid_factor = check_count("grid_factor", grid_factor, 1)
     if not 0.0 < tol_factor <= 1.0:
         raise DomainError(f"tol_factor must be in (0, 1], got {tol_factor!r}")
     clauses: list[ClauseResult] = []
@@ -249,7 +249,7 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
            f"log prod theta={lp_t:.12g} log prod eta={lp_e:.12g}")
 
     rep = sign_profile(cert.theta, cert.eta, a,
-                       grid_size=cert.grid_size * int(grid_factor),
+                       grid_size=cert.grid_size * grid_factor,
                        tol=cert.tol * float(tol_factor),
                        seed_window=perturbation_root_window(cert.theta, a))
     clause("recount_classification",

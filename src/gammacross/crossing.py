@@ -3,16 +3,18 @@
 The certifier evaluates D once on a log-spaced grid over the closed-form
 window `gconv.tail_window(.., 1e-12)` (from beta_min G <= S <= beta_max G,
 G ~ gamma(rho, 1)), outside which |D| <= 1e-12 < tol, and groups grid points
-with |D| > tol into certified sign runs.  Between two runs of opposite sign,
-the last point of the first and the first point of the second bracket a root
-of D, which Brent's method locates to relative accuracy 1e-10.  Endpoint
-behavior is pinned analytically: near zero the sign of D equals the sign of
-prod(theta) - prod(eta) (the CDF ratio tends to a power of the product
-ratio), and in the far tail the largest scale wins, then its multiplicity,
-then the constant of the survival asymptotics.  An endpoint sign that
-contradicts the adjacent certified run, or any sub-tolerance zone between
-same-sign runs, downgrades the outcome to UNDECIDED; certified crossings are
-never silently invented or dropped.
+with |D| > tol into certified sign runs.  D is `F_eta.cdf(x, minus=F_theta)`,
+so for a majorized pair both CDFs come from one term matrix about the common
+least scale (see `gconv`), on the grid and at every Brent step.  Between two
+runs of opposite sign, the last point of the first and the first point of
+the second bracket a root of D, which Brent's method locates to relative
+accuracy 1e-10.  Endpoint behavior is pinned analytically: near zero the
+sign of D equals the sign of prod(theta) - prod(eta) (the CDF ratio tends to
+a power of the product ratio), and in the far tail the largest scale wins,
+then its multiplicity, then the constant of the survival asymptotics.  An
+endpoint sign that contradicts the adjacent certified run, or any
+sub-tolerance zone between same-sign runs, downgrades the outcome to
+UNDECIDED; certified crossings are never silently invented or dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from scipy.special import betainc
 
 from ._domain import check_alpha, check_pair, check_scan, check_weights, tie_tol
 from .errors import DomainError
-from .gconv import GammaComponent, GammaConvolution, make_convolution, tail_window
+from .gconv import (GammaComponent, GammaConvolution, difference_error_estimate,
+                    make_convolution, tail_window)
 from .orders import log_majorizes
 
 __all__ = [
@@ -218,8 +221,10 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
     plus 256 points on `seed_window` (an interval expected to hold
     crossings, clipped to the window) when one is given, and assembles
     certified runs where |D| > tol.  Each pair of adjacent runs of opposite
-    sign brackets one crossing, solved by Brent's method.  ConvergenceError
-    if the window leaves the double range (shapes near 0.01 and below).
+    sign brackets one crossing, solved by Brent's method.  D comes from
+    `gc_eta.cdf(x, minus=gc_theta)`, and `error_estimate` from the two series
+    that evaluates.  ConvergenceError if the window leaves the double range
+    (shapes near 0.01 and below).
     """
     t, e = check_pair(theta, eta)
     a = check_alpha(alpha)
@@ -227,7 +232,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
 
     gc_t = make_convolution(a, t)
     gc_e = make_convolution(a, e)
-    err_est = gc_t.error_estimate + gc_e.error_estimate
+    err_est = difference_error_estimate(gc_e, gc_t)
     lo, hi = tail_window(gc_t, gc_e, 1e-12)
     near, tail = _near_zero(t, e), _tail(t, e)
 
@@ -256,7 +261,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
             xs = np.unique(np.concatenate([xs, np.geomspace(s_lo, s_hi, 256)]))
 
     def dval(pts):
-        return gc_e.cdf(pts) - gc_t.cdf(pts)
+        return gc_e.cdf(pts, minus=gc_t)
 
     d = dval(xs)
     signs = np.where(d > tol, 1, np.where(d < -tol, -1, 0))

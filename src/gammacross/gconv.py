@@ -1,17 +1,22 @@
 """Distribution engine for finite convolutions of independent gamma variables.
 
-A convolution sum(scale_i * gamma(shape_i, 1)) is represented by a single
-series expansion around the smallest scale beta1 (Moschopoulos 1985):
+A convolution sum(scale_i * gamma(shape_i, 1)) is represented by a series
+expansion about a base beta no larger than its least scale (Moschopoulos
+1985):
 
-    F(x) = sum_k w_k P(rho + k, y),    y = x / beta1,  rho = sum(shape_i)
+    F(x) = sum_k w_k P(rho + k, y),    y = x / beta,  rho = sum(shape_i)
+
+A convolution's own series takes beta = beta1, the least scale.
 
 Weights.  w is the pmf of a sum of independent negative binomials
-NB(shape_j, p_j), p_j = beta1 / beta_j, so it is the convolution of their
-pmfs.  Each pmf is evaluated in log space (betaln, log1p) and cut at the
-first k whose survival betainc(k, shape_j, 1 - p_j) is at most
-TAIL_TARGET / J, J the number of components above beta1.  The convolution
-of the cut factors misses at most the sum of those survivals; that sum is
-the series tail, and it bounds the CDF truncation error.
+NB(shape_j, p_j), p_j = beta / beta_j, so it is the convolution of their
+pmfs; a component with p_j = 1 is a point mass at 0 and adds no factor.
+Each pmf is evaluated in log space (betaln, log1p) and cut at the first k
+whose survival betainc(k, shape_j, 1 - p_j) is at most TAIL_TARGET / J, J the
+number of factors.  The convolution of the cut factors misses at most the
+sum of those survivals; that sum is the series tail, and it bounds the CDF
+truncation error.  The mean series index is mu(beta) = mean / beta - rho,
+so a smaller base gives a longer series.
 
 CDF.  With u_j(y) = y^(rho+j-1) e^-y / Gamma(rho + j), the unit gamma
 density at shape rho + j, the ladder P(rho + k, y) = P(rho, y) - sum_{j=1..k}
@@ -20,7 +25,20 @@ u_j(y) turns the series into its tail-sum form
     F(x) = Wbar_0 P(rho, y) - sum_{j>=1} Wbar_j u_j(y),   Wbar_j = sum_{k>=j} w_k,
 
 with the tail sums Wbar built with the weights.  The density and its first
-two x-derivatives are sum_k w_k u_k^(d)(y) / beta1^(d+1), termwise.
+two x-derivatives are sum_k w_k u_k^(d)(y) / beta^(d+1), termwise.
+
+Pairs.  The terms u_j(y) depend on the base and on rho only, not on the
+weights.  Two convolutions with equal rho and equal means (a majorized pair
+at a common shape) have equal mu about any common base, so rebasing the one
+with the larger least scale to the other's beta1 gives a series as long as
+the other's own.  `cdf(x, minus=other)` then evaluates both series as the
+two rows of one, the shorter zero-padded: each block builds its term matrix
+once and multiplies it by both rows of tail sums.  The base is shared only
+where the two rho are equal and the rebased series is no longer than the two
+own series together; otherwise each side is evaluated about its own least
+scale, as a one-row series.  A shared term matrix also makes the difference
+more accurate: the rounding of each u_j, which grows with y, is common to
+both rows and cancels in D instead of adding up.
 
 Term window.  As a function of j, u_j(y) is concentrated within O(sqrt(y))
 of y - rho.  Points are sorted and evaluated in blocks of _BLOCK; a block
@@ -31,7 +49,7 @@ covers the derivative factors, since u_a' = u_(a-1) - u_a), both exact at the
 block's ends because they are monotone in y.  Each window is widened until
 both bounds are at most _WINDOW_TAIL, which keeps the omitted part of a CDF
 value below 2 * _WINDOW_TAIL and of a density value below
-(2.2 + 2^d) * _WINDOW_TAIL / beta1^(d+1).
+(2.2 + 2^d) * _WINDOW_TAIL / beta^(d+1).
 """
 
 from __future__ import annotations
@@ -45,7 +63,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc, betaln, gammainc, gammaincc, gammaincinv, gammaln
 
-from ._domain import check_alpha, check_weights
+from ._domain import check_alpha, check_weights, tie_tol
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -53,6 +71,7 @@ __all__ = [
     "GammaConvolution",
     "make_convolution",
     "tail_window",
+    "difference_error_estimate",
     "EcdfBand",
     "ecdf_band",
     "h1_closed",
@@ -70,6 +89,8 @@ _TINY = np.finfo(float).tiny
 # points per evaluation block, and the ladder mass a term window may omit
 _BLOCK = 64
 _WINDOW_TAIL = 1e-16
+# the bound on a series value's rounding that error_estimate adds to its tail
+_KERNEL_ERROR = 2e-12
 
 
 @dataclass(frozen=True)
@@ -88,12 +109,15 @@ class GammaComponent:
 
 @dataclass(frozen=True)
 class _Series:
-    beta1: float
+    """One series, or the rows of several about one base and rho: weights
+    and wbar are then 2-d, one row each, zero-padded to a common K."""
+
+    beta1: float  # the base beta, at most the least scale
     rho: float
     weights: np.ndarray  # w_k, k = 0..K-1
     wbar: np.ndarray  # Wbar_j = sum_{k>=j} w_k, j = 0..K-1
     lgam: np.ndarray  # lnGamma(rho + k), k = 0..K-1
-    tail: float  # bound on the weight mass cut off, in [0, TAIL_TARGET]
+    tail: float  # bound on the weight mass cut off, summed over the rows
 
 
 @dataclass(frozen=True)
@@ -135,24 +159,57 @@ class GammaConvolution:
     @property
     def error_estimate(self) -> float:
         """Conservative absolute error bound for cdf/density values."""
-        return self._series.tail + 2e-12
+        return self._series.tail + _KERNEL_ERROR
 
     @cached_property
     def _series(self) -> _Series:
         return _build_series(self.components)
 
+    def _pair(self, other: GammaConvolution) -> _Series | None:
+        """The two-row series of (self, other) about their shared base, or
+        None where the base is not shared; the last one is kept."""
+        cached = self.__dict__.get("_pair_cache")
+        if cached is None or cached[0] != other.components:
+            beta = _shared_base(self, other)
+            pair = None if beta is None else _stack(self._series_about(beta),
+                                                    other._series_about(beta))
+            cached = self.__dict__["_pair_cache"] = (other.components, pair)
+        return cached[1]
+
+    def _series_about(self, beta: float) -> _Series:
+        if beta == self.components[0].scale:
+            return self._series
+        return _build_series(self.components, beta)
+
     # -- evaluation ------------------------------------------------------
 
-    def cdf(self, x):
-        """P(sum <= x); vectorized, clamped to [0, 1]."""
-        return _eval(self, np.asarray(x, dtype=float), _cdf_block, 0)
+    def cdf(self, x, minus: GammaConvolution | None = None):
+        """P(sum <= x); vectorized, clamped to [0, 1].
+
+        With `minus` another convolution, F_self(x) - F_minus(x), each CDF
+        clamped before the subtraction.  Where the two share a base (see the
+        module docstring) both come from one term matrix per block; the
+        error bound is then `difference_error_estimate(self, minus)`.
+        """
+        xs = np.asarray(x, dtype=float)
+        if minus is None:
+            return _scalar(_eval(self._series, xs, _cdf_block, 0), xs)
+        pair = self._pair(minus)
+        if pair is None:
+            d = _eval(self._series, xs, _cdf_block, 0) - _eval(minus._series, xs, _cdf_block, 0)
+        else:
+            f = _eval(pair, xs, _cdf_block, 0)
+            d = f[0] - f[1]
+        return _scalar(d, xs)
 
     def density(self, x, order: int = 0):
         """Density (order 0) or its first/second x-derivative (order 1/2)."""
         if order not in (0, 1, 2):
             raise DomainError(f"order must be 0, 1 or 2, got {order!r}")
-        return _eval(self, np.asarray(x, dtype=float),
-                     lambda s, y, lo, hi: _density_block(s, y, lo, hi, order), order)
+        xs = np.asarray(x, dtype=float)
+        return _scalar(_eval(self._series, xs,
+                             lambda s, y, lo, hi: _density_block(s, y, lo, hi, order), order),
+                       xs)
 
     def quantile_bracket(self, p: float) -> tuple[float, float]:
         """(beta_min g, beta_max g), g = gammaincinv(rho, p), brackets the
@@ -206,6 +263,15 @@ class GammaConvolution:
         return out
 
 
+def difference_error_estimate(a: GammaConvolution, b: GammaConvolution) -> float:
+    """Conservative absolute error bound for `a.cdf(x, minus=b)`, from the
+    tails of the series that evaluation uses."""
+    pair = a._pair(b)
+    if pair is None:
+        return a.error_estimate + b.error_estimate
+    return pair.tail + 2.0 * _KERNEL_ERROR
+
+
 def tail_window(a: GammaConvolution, b: GammaConvolution, p: float) -> tuple[float, float]:
     """Interval outside which both CDFs (below it) and both survival
     functions (above it) are at most p, from the quantile brackets alone."""
@@ -225,17 +291,34 @@ def make_convolution(alpha: float, weights: Sequence[float]) -> GammaConvolution
 # -- series construction --------------------------------------------------
 
 
-def _build_series(components: tuple[GammaComponent, ...]) -> _Series:
+def _shared_base(a: GammaConvolution, b: GammaConvolution) -> float | None:
+    """The least of the two least scales, where a series of the other side
+    about it is no longer than the two own series together (mean series
+    index mu(beta) = mean / beta - rho, compared at the tie tolerance) and
+    the two rho are equal; otherwise None."""
+    rho = a.total_shape
+    if b.total_shape != rho:
+        return None
+    low, high = sorted((a, b), key=lambda g: g.components[0].scale)
+    beta = low.components[0].scale
+    rebased = high.mean / beta - rho
+    own = (low.mean / beta - rho) + (high.mean / high.components[0].scale - rho)
+    return beta if rebased <= own + tie_tol(rebased, own) else None
+
+
+def _build_series(components: tuple[GammaComponent, ...], beta: float | None = None) -> _Series:
+    """The series about base `beta`, at most the least scale and by default
+    equal to it."""
     shapes = np.array([c.shape for c in components])
     scales = np.array([c.scale for c in components])
-    beta1 = float(scales[0])
+    beta1 = float(scales[0]) if beta is None else float(beta)
     rho = float(math.fsum(shapes))
-    p = beta1 / scales  # p[0] == 1: the first component is a point mass at 0
+    p = beta1 / scales  # p == 1: a point mass at 0, as the least scale is about itself
     log_c0 = float(np.dot(shapes, np.log(p)))
     if log_c0 < _UNDERFLOW_LOG_FLOOR:
         raise ConvergenceError(
             "scale ratios too extreme for the series (leading weight underflows)")
-    factors = list(zip(shapes[1:], p[1:]))
+    factors = [(shape, pj) for shape, pj in zip(shapes, p) if pj < 1.0]
     w = np.ones(1)
     tail = 0.0
     for shape, pj in factors:
@@ -247,6 +330,16 @@ def _build_series(components: tuple[GammaComponent, ...]) -> _Series:
     lgam = gammaln(rho + np.arange(len(w)))
     wbar = np.cumsum(w[::-1])[::-1]
     return _Series(beta1=beta1, rho=rho, weights=w, wbar=wbar, lgam=lgam, tail=tail)
+
+
+def _stack(a: _Series, b: _Series) -> _Series:
+    """a and b, about one base and rho, as the two rows of one series."""
+    longer = a if a.lgam.size >= b.lgam.size else b
+    pad = lambda v: np.pad(v, (0, longer.lgam.size - v.size))
+    return _Series(beta1=a.beta1, rho=a.rho,
+                   weights=np.stack([pad(a.weights), pad(b.weights)]),
+                   wbar=np.stack([pad(a.wbar), pad(b.wbar)]),
+                   lgam=longer.lgam, tail=a.tail + b.tail)
 
 
 def _nb_pmf(shape: float, p: float, n: int) -> np.ndarray:
@@ -286,31 +379,33 @@ def _log(v: float) -> float:
     return math.log(max(v, _TINY))
 
 
-def _eval(gc: GammaConvolution, xs: np.ndarray, kernel, order: int):
-    scalar = xs.ndim == 0
-    flat = np.atleast_1d(xs).astype(float).ravel()
+def _scalar(v: np.ndarray, xs: np.ndarray):
+    return float(v) if xs.ndim == 0 else v
+
+
+def _eval(s: _Series, xs: np.ndarray, kernel, order: int) -> np.ndarray:
+    """kernel values of every row of s at xs, shaped (rows of s) + xs.shape."""
+    flat = xs.ravel()
     if not np.all(np.isfinite(flat)):
         raise DomainError("evaluation points must be finite")
-    out = np.zeros(flat.shape)
+    rows = s.wbar.shape[:-1]
+    out = np.zeros(rows + flat.shape)
     pos = np.flatnonzero(flat > 0.0)
     if pos.size:
-        s = gc._series
         pos = pos[np.argsort(flat[pos], kind="stable")]
         y = flat[pos] / s.beta1
         for start in range(0, y.size, _BLOCK):
             yb = y[start:start + _BLOCK]
             lo, hi = _window(s, yb[0], yb[-1], order)
-            out[pos[start:start + _BLOCK]] = kernel(s, yb, lo, hi)
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.atleast_1d(xs).shape)
+            out[..., pos[start:start + _BLOCK]] = kernel(s, yb, lo, hi)
+    return out.reshape(rows + xs.shape)
 
 
 def _window(s: _Series, y_lo: float, y_hi: float, order: int) -> tuple[int, int]:
     """Term window [lo, hi] for a block spanning [y_lo, y_hi]: a normal-tail
     guess, widened until the omitted ladder mass on each side is at most
     _WINDOW_TAIL (see the module docstring)."""
-    last = len(s.weights) - 1
+    last = s.lgam.size - 1
     lo = int(min(max(y_lo - s.rho + 1.0 - 8.5 * math.sqrt(y_lo), 0.0), last))
     hi = int(min(max(y_hi - s.rho + order + 8.5 * math.sqrt(y_hi) + 26.0, order), last))
     step = 1 + int(min(math.sqrt(y_hi), last))
@@ -331,16 +426,17 @@ def _terms(s: _Series, lo: int, hi: int, y: np.ndarray) -> np.ndarray:
 
 
 def _cdf_block(s: _Series, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    vals = s.wbar[0] * gammainc(s.rho, y)
+    """One row of values per row of s, all from one term matrix."""
+    vals = s.wbar[..., :1] * gammainc(s.rho, y)
     lo = max(lo, 1)
     if lo <= hi:
-        vals -= s.wbar[lo:hi + 1] @ _terms(s, lo, hi, y)
+        vals -= s.wbar[..., lo:hi + 1] @ _terms(s, lo, hi, y)
     return np.clip(vals, 0.0, 1.0)
 
 
 def _density_block(s: _Series, y: np.ndarray, lo: int, hi: int, order: int) -> np.ndarray:
     base = _terms(s, lo, hi, y)
-    w = s.weights[lo:hi + 1]
+    w = s.weights[..., lo:hi + 1]
     if order == 0:
         return (w @ base) / s.beta1
     am1 = (s.rho - 1.0 + np.arange(lo, hi + 1))[:, None]

@@ -204,16 +204,17 @@ def v_majorizes_brute(theta, eta, step: float) -> bool:
 
 def st_dominates(lower: GammaConvolution, upper: GammaConvolution,
                  grid=None, tol: float = 1e-8) -> bool:
-    """True iff F_lower(x) >= F_upper(x) - tol on the grid (i.e. `lower` is
-    stochastically smaller).  The default grid is 512 log-spaced points over
-    the closed-form `tail_window(lower, upper, 1e-9)`, outside which both
-    CDFs differ by at most 1e-9; an explicit grid must be nonempty and 1-d."""
+    """True iff F_lower(x) - F_upper(x) >= -tol on the grid (i.e. `lower` is
+    stochastically smaller), the difference from `lower.cdf(grid,
+    minus=upper)`.  The default grid is 512 log-spaced points over the
+    closed-form `tail_window(lower, upper, 1e-9)`, outside which both CDFs
+    differ by at most 1e-9; an explicit grid must be nonempty and 1-d."""
     if grid is None:
         grid = np.geomspace(*tail_window(lower, upper, 1e-9), 512)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("grid must be a nonempty 1-d array")
-    return bool(np.all(lower.cdf(grid) >= upper.cdf(grid) - tol))
+    return bool(np.all(lower.cdf(grid, minus=upper) >= -tol))
 
 
 def star_order_check(theta, eta, alpha: float, c_values: Sequence[float],

@@ -1,12 +1,13 @@
 """Endpoint signs, the certified scan, and the two supporting identities."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gammacross import crossing
+from gammacross import crossing, gconv
 from gammacross.counterexample import build_counterexample
 from gammacross.crossing import (
     Classification,
@@ -22,6 +23,7 @@ from gammacross.crossing import (
 )
 from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import GammaConvolution, make_convolution
+from gammacross.instances import random_majorized_pair
 
 
 def hypoexp_cdf_diff(x):
@@ -105,23 +107,24 @@ class TestSignProfile:
 
     @pytest.mark.parametrize("seed_window", [None, (1.0, 20.0)])
     def test_one_grid_evaluation_per_side(self, monkeypatch, seed_window):
-        # D is evaluated on the grid once; every other CDF call is a scalar
-        # one from Brent's method
+        # D is evaluated on the grid once, as one difference of the two
+        # sides; every other CDF call is a scalar one from Brent's method
         calls = []
         real = GammaConvolution.cdf
 
-        def recording(self, x):
-            calls.append((self, np.size(x)))
-            return real(self, x)
+        def recording(self, x, **kw):
+            calls.append((self, np.size(x), kw))
+            return real(self, x, **kw)
 
         monkeypatch.setattr(GammaConvolution, "cdf", recording)
         rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0, seed_window=seed_window)
         assert rep.n_crossings == 1
-        grid_calls = [(conv, size) for conv, size in calls if size > 1]
-        assert len(grid_calls) == 2
-        (conv_a, size_a), (conv_b, size_b) = grid_calls
-        assert conv_a.components != conv_b.components
-        assert size_a == size_b == rep.grid_size + (0 if seed_window is None else 256)
+        grid_calls = [(conv, size, kw) for conv, size, kw in calls if size > 1]
+        assert len(grid_calls) == 1
+        ((conv, size, kw),) = grid_calls
+        assert conv.components != kw["minus"].components
+        assert size == rep.grid_size + (0 if seed_window is None else 256)
+        assert all(kw.get("minus") is not None for _, _, kw in calls)
 
     def test_window_ignores_cdf_rounding(self, monkeypatch):
         # the window is closed-form, so a CDF moved by 4e-14, the size of its
@@ -130,7 +133,7 @@ class TestSignProfile:
         rep = sign_profile(*args)
         real = GammaConvolution.cdf
         monkeypatch.setattr(GammaConvolution, "cdf",
-                            lambda self, x: real(self, x) * (1.0 + 4e-14))
+                            lambda self, x, **kw: real(self, x, **kw) * (1.0 + 4e-14))
         moved = sign_profile(*args)
         assert moved.window == rep.window
         assert moved.classification is rep.classification
@@ -236,6 +239,51 @@ def runs_by_walk(signs, d):
         else:
             runs.append([int(s), i, i, abs(float(d[i]))])
     return [tuple(r) for r in runs]
+
+
+class TestSharedBase:
+    """The pair kernel shares a base only where that keeps the series short."""
+
+    @pytest.mark.parametrize("low", [1e-5, 1e-3])
+    def test_far_apart_sides_keep_their_own_bases(self, low, monkeypatch):
+        # about the least scale low, the [1, 1] side would need a series of
+        # mean index 2 / low - 2: 2e5 terms, past MAX_TERMS, at low = 1e-5
+        theta, eta = [low, low], [1.0, 1.0]
+        assert gconv._shared_base(make_convolution(1.0, eta),
+                                  make_convolution(1.0, theta)) is None
+
+        def best_time():
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                rep = sign_profile(theta, eta, 1.0)
+                times.append(time.perf_counter() - t0)
+                assert rep.classification is Classification.NO_CROSSING
+            return min(times)
+
+        shared = best_time()
+        # own bases on both sides is how both CDFs were evaluated before pairs
+        monkeypatch.setattr(gconv, "_shared_base", lambda a, b: None)
+        assert shared <= 2.0 * best_time()
+
+    def test_majorized_pairs_share_a_base(self):
+        pairs = [(a, t, e) for a, t, e in TestCrossingLocation.CHECK_FIXTURES]
+        for alpha in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+            cert = build_counterexample(alpha)
+            pairs.append((alpha, cert.theta, cert.eta))
+        for alpha, frac in ((0.25, 0.55), (0.5, 0.65), (0.75, 0.70)):
+            top = math.sqrt(1.0 - alpha) - (1.0 - alpha)
+            cert = build_counterexample(alpha, x0=frac * top)
+            pairs.append((alpha, cert.theta, cert.eta))
+        rng = np.random.default_rng(1213)
+        for i in range(200):
+            theta, eta = random_majorized_pair(rng, 2 + i % 7)
+            pairs.append(((0.3, 1.0, 2.5)[i % 3], theta, eta))
+        for alpha, theta, eta in pairs:
+            gt, ge = make_convolution(alpha, theta), make_convolution(alpha, eta)
+            base = min(gt.components[0].scale, ge.components[0].scale)
+            assert gconv._shared_base(ge, gt) == base, (alpha, theta, eta)
+            assert gconv._shared_base(gt, ge) == base
 
 
 class TestRuns:

@@ -91,6 +91,32 @@ def test_bad_grid_size(name, size, monkeypatch):
         GRID_ENTRY_POINTS[name](size)
 
 
+# every argument that counts trials or scales a grid, at least 1
+COUNT_ENTRY_POINTS = {
+    "build_counterexample": lambda n, cert: gx.build_counterexample(0.5, search_budget=n),
+    "verify_certificate": lambda n, cert: gx.verify_certificate(cert, grid_factor=n),
+}
+
+
+@pytest.fixture(scope="module")
+def cert():
+    return gx.build_counterexample(0.5)
+
+
+@pytest.mark.parametrize("count", [0, -3, 1.9, 2.5, 2.0], ids=["zero", "negative",
+                                                               "fractional_1_9",
+                                                               "fractional_2_5", "float"])
+@pytest.mark.parametrize("name", sorted(COUNT_ENTRY_POINTS))
+def test_bad_count(name, count, cert, monkeypatch):
+    # rejected before any scan, not truncated to a whole count
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scanned before the count was checked")
+
+    monkeypatch.setattr(gconv, "_build_series", unreachable)
+    with pytest.raises(DomainError, match="must be"):
+        COUNT_ENTRY_POINTS[name](count, cert)
+
+
 def test_no_certificate_from_an_empty_grid():
     a, b = gx.make_convolution(1.0, [1.0, 4.0]), gx.make_convolution(1.0, [2.0, 3.0])
     for grid in ([], [[1.0, 2.0]]):

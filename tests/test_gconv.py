@@ -1,5 +1,6 @@
 """Series engine: construction, evaluation, sampling, and the eCDF band."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import gammaincinv
@@ -15,6 +17,7 @@ from scipy.special import gammaincinv
 import gammacross
 from gammacross import cli, gconv
 from gammacross.counterexample import build_counterexample
+from gammacross.crossing import sign_profile
 from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import (
     MAX_TERMS,
@@ -22,11 +25,15 @@ from gammacross.gconv import (
     EcdfBand,
     GammaComponent,
     GammaConvolution,
+    difference_error_estimate,
     ecdf_band,
     h1_closed,
     h2_closed,
+    _build_series,
     _cdf_block,
     _density_block,
+    _eval,
+    _shared_base,
     _terms,
     _window,
     make_convolution,
@@ -213,6 +220,103 @@ class TestTermWindow:
                     assert np.all(np.abs(dens[order][sl] - full)
                                   <= 1e-15 * np.maximum(1.0, magnitude))
             assert narrowed >= 4
+
+
+class TestSeriesBase:
+    """The series about a base below the least scale, and the pair kernel."""
+
+    # sha256 prefix of weights, wbar and lgam, and the tail, of each own
+    # series as built before the base could be chosen (numpy 2.4.6, scipy 1.17.1)
+    OWN_SERIES = [
+        ((0.5, (0.001, 1.0)), "b0152399a186a74dbdbcbb2919441d9f", "0x1.6809c1a8d6b15p-47"),
+        ((2.5, STALL_SCALES), "8ee266529a310346c0bcfe6c4a5d2974", "0x1.21f98754d7722p-47"),
+        ((0.75, (0.3, 0.5, 1.2, 2.0)), "0c97f02dbdcc70ea73b69b423fdac47d",
+         "0x1.10d5c33090bdbp-47"),
+    ]
+
+    @staticmethod
+    def digest(s) -> str:
+        return hashlib.sha256(s.weights.tobytes() + s.wbar.tobytes()
+                              + s.lgam.tobytes()).hexdigest()[:32]
+
+    def test_own_base_is_the_default(self):
+        for (alpha, scales), _, _ in self.OWN_SERIES:
+            gc = make_convolution(alpha, scales)
+            at_least = _build_series(gc.components, gc.components[0].scale)
+            assert self.digest(at_least) == self.digest(gc._series)
+            assert at_least.tail == gc._series.tail
+
+    @pytest.mark.skipif((np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+                        reason="the pinned bits are those of numpy 2.4.6 and scipy 1.17.1")
+    def test_own_series_bits_unchanged(self):
+        for (alpha, scales), digest, tail in self.OWN_SERIES:
+            s = make_convolution(alpha, scales)._series
+            assert (self.digest(s), s.tail.hex()) == (digest, tail)
+
+    def test_half_base_agrees_with_own_base(self):
+        rng = np.random.default_rng(1212)
+        for i in range(30):
+            n, alpha = 1 + i % 6, (0.5, 1.0, 2.5)[i % 3]
+            gc = make_convolution(alpha, rng.uniform(1.0, 5.0, n))
+            half = _build_series(gc.components, gc.components[0].scale / 2.0)
+            assert len(half.weights) > len(gc._series.weights)
+            assert abs(math.fsum(half.weights) - (1.0 - half.tail)) <= 1e-13, i
+            assert 0.0 <= half.tail <= TAIL_TARGET
+            xs = np.linspace(0.0, gc.mean + 10.0 * math.sqrt(gc.variance), 300)
+            assert np.max(np.abs(_eval(half, xs, _cdf_block, 0) - gc.cdf(xs))) <= 1e-13, i
+
+    PAIRS = {
+        "equal_shapes": (make_convolution(1.5, [0.3, 0.9, 2.5]),
+                         make_convolution(1.5, [0.8, 1.0, 1.9])),
+        "zero_weight_one_side": (make_convolution(1.0, [0.0, 2.0, 3.0]),
+                                 make_convolution(1.0, [1.0, 1.5, 2.5])),
+        "tied_scales": (make_convolution(0.5, [1.0, 1.0, 4.0]),
+                        make_convolution(0.5, [1.0, 2.0, 3.0])),
+        "single_component_rebased": (GammaConvolution((GammaComponent(2.0, 1.0),)),
+                                     make_convolution(1.0, [0.5, 1.5])),
+        "single_components": (make_convolution(2.0, [3.0]), make_convolution(2.0, [1.5])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_difference_matches_two_cdfs(self, name):
+        a, b = self.PAIRS[name]
+        hi = max(a.mean + 10.0 * math.sqrt(a.variance), b.mean + 10.0 * math.sqrt(b.variance))
+        xs = np.linspace(-1.0, hi, 400)
+        for x in (xs, xs.reshape(20, 20), 1.7, 0.0):
+            got = a.cdf(x, minus=b)
+            want = a.cdf(x) - b.cdf(x)
+            assert np.shape(got) == np.shape(want)
+            assert isinstance(got, float) == (np.ndim(x) == 0)
+            assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13
+        assert np.max(np.abs(b.cdf(xs, minus=a) + a.cdf(xs, minus=b))) <= 1e-13
+        shared = _shared_base(a, b) is not None
+        assert shared == (name in ("equal_shapes", "tied_scales", "single_component_rebased"))
+        err = difference_error_estimate(a, b)
+        assert abs(err - (a.error_estimate + b.error_estimate)) <= 2e-14
+        if not shared:  # each side about its own least scale: the same bits
+            assert np.array_equal(a.cdf(xs, minus=b), a.cdf(xs) - b.cdf(xs))
+
+    def test_tied_least_scales_share_without_rebasing(self):
+        a, b = self.PAIRS["tied_scales"]
+        assert _shared_base(a, b) == 1.0
+        assert a._pair(b).lgam.size == max(a._series.lgam.size, b._series.lgam.size)
+
+    def test_scan_builds_two_series(self, monkeypatch):
+        # the sides' own series, or one own and one rebased; a rebased side's
+        # own series is never built, not even for its tail
+        built = []
+        real = gconv._build_series
+
+        def counting(components, beta=None):
+            built.append(beta)
+            return real(components, beta)
+
+        monkeypatch.setattr(gconv, "_build_series", counting)
+        sign_profile([1.0, 4.0], [2.0, 3.0], 1.0)
+        assert len(built) == 2 and built.count(None) == 1
+        built.clear()
+        sign_profile([1e-3, 1e-3], [1.0, 1.0], 1.0)
+        assert built == [None, None]
 
 
 class TestImport:
