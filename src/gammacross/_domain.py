@@ -4,9 +4,9 @@ Every check here raises DomainError on bad input and otherwise returns the
 validated input, if any, as the type the callers compute with.  A weight
 vector is 1-d, nonempty, finite and nonnegative with at least one positive
 entry; a window is an interval with 0 < lo < hi < inf; a count is an
-integer of at least the caller's minimum, and a grid size one of at most
-2**20; a crossing scan has a grid of at least 64 points and a tolerance in
-(0, 1).
+integer (not a bool) of at least the caller's minimum, and a grid size one
+of at most 2**20; a crossing scan has a grid of at least 64 points and a
+tolerance in (0, 1).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def check_window(window) -> tuple[float, float]:
 
 
 def check_count(name: str, value, minimum: int) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value!r}")

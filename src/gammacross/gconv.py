@@ -40,15 +40,22 @@ scale, as a one-row series.  A shared term matrix also makes the difference
 more accurate: the rounding of each u_j, which grows with y, is common to
 both rows and cancels in D instead of adding up.
 
-Term window.  As a function of j, u_j(y) is concentrated within O(sqrt(y))
-of y - rho.  Points are sorted and evaluated in blocks of _BLOCK; a block
-spanning [y_lo, y_hi] sums only the terms j in [lo, hi].  The omitted ladder
-mass is at most gammaincc(rho + lo - 1, y_lo) below the window and
-gammainc(rho + hi - d, y_hi) above it (d the derivative order; the shift
-covers the derivative factors, since u_a' = u_(a-1) - u_a), both exact at the
-block's ends because they are monotone in y.  Each window is widened until
-both bounds are at most _WINDOW_TAIL, which keeps the omitted part of a CDF
-value below 2 * _WINDOW_TAIL and of a density value below
+Term window.  As a function of j, u_j(y) is concentrated within O(sqrt(y)) of
+y - rho, so one point needs about 17 sqrt(y) + 27 terms.  Points are sorted
+and evaluated in blocks sized by work, one term matrix each: a block that
+starts at y0 takes no point beyond y0 + 8.5 sqrt(y0) + 1/2, so its window is
+at most about half again as wide as one point's, and no more points than keep
+that matrix within _BLOCK_WORK entries (192 KB).  A fixed point count would
+pay the per-block overhead hundreds of times over at tiny y, where points
+need few terms, and would let sparse points at large y share a window far
+wider than any of them needs.  A block spanning [y_lo, y_hi] sums only the
+terms j in [lo, hi].  The omitted ladder mass is at most
+gammaincc(rho + lo - 1, y_lo) below the window and gammainc(rho + hi - d, y_hi)
+above it (d the derivative order; the shift covers the derivative factors,
+since u_a' = u_(a-1) - u_a), both exact at the block's ends because they are
+monotone in y.  Each window is widened until both bounds are at most
+_WINDOW_TAIL, which keeps the omitted part of a CDF value below
+2 * _WINDOW_TAIL and of a density value below
 (2.2 + 2^d) * _WINDOW_TAIL / beta^(d+1).
 """
 
@@ -63,7 +70,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc, betaln, gammainc, gammaincc, gammaincinv, gammaln
 
-from ._domain import check_alpha, check_weights, tie_tol
+from ._domain import check_alpha, check_count, check_weights, tie_tol
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -86,8 +93,8 @@ _SCALE_MERGE_RTOL = 1e-12
 _UNDERFLOW_LOG_FLOOR = -700.0
 _EPS4 = 4.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# points per evaluation block, and the ladder mass a term window may omit
-_BLOCK = 64
+# term-points per evaluation block, and the ladder mass a term window may omit
+_BLOCK_WORK = 24_576
 _WINDOW_TAIL = 1e-16
 # the bound on a series value's rounding that error_estimate adds to its tail
 _KERNEL_ERROR = 2e-12
@@ -203,8 +210,9 @@ class GammaConvolution:
         return _scalar(d, xs)
 
     def density(self, x, order: int = 0):
-        """Density (order 0) or its first/second x-derivative (order 1/2)."""
-        if order not in (0, 1, 2):
+        """Density (order 0) or its first/second x-derivative (order 1/2);
+        order must be the integer 0, 1 or 2."""
+        if check_count("order", order, 0) > 2:
             raise DomainError(f"order must be 0, 1 or 2, got {order!r}")
         xs = np.asarray(x, dtype=float)
         return _scalar(_eval(self._series, xs,
@@ -254,8 +262,7 @@ class GammaConvolution:
 
     def sample(self, n: int, seed) -> np.ndarray:
         """n independent draws, deterministic given seed."""
-        if n < 0:
-            raise DomainError(f"sample size must be nonnegative, got {n!r}")
+        n = check_count("n", n, 0)
         rng = np.random.default_rng(seed)
         out = np.zeros(n)
         for c in self.components:
@@ -394,10 +401,16 @@ def _eval(s: _Series, xs: np.ndarray, kernel, order: int) -> np.ndarray:
     if pos.size:
         pos = pos[np.argsort(flat[pos], kind="stable")]
         y = flat[pos] / s.beta1
-        for start in range(0, y.size, _BLOCK):
-            yb = y[start:start + _BLOCK]
-            lo, hi = _window(s, yb[0], yb[-1], order)
-            out[..., pos[start:start + _BLOCK]] = kernel(s, yb, lo, hi)
+        start = 0
+        while start < y.size:  # a block sized by work, see "Term window" above
+            r0 = math.sqrt(y[start])
+            stop = int(np.searchsorted(y, y[start] + 8.5 * r0 + 0.5, side="right"))
+            # hi - lo + 1 of _window's unwidened guess bounds the block's terms
+            width = y[stop - 1] - y[start] + 8.5 * (r0 + math.sqrt(y[stop - 1])) + 28.0 + order
+            stop = min(stop, start + max(1, int(_BLOCK_WORK // width)))
+            lo, hi = _window(s, y[start], y[stop - 1], order)
+            out[..., pos[start:stop]] = kernel(s, y[start:stop], lo, hi)
+            start = stop
     return out.reshape(rows + xs.shape)
 
 

@@ -103,9 +103,9 @@ def cert():
     return gx.build_counterexample(0.5)
 
 
-@pytest.mark.parametrize("count", [0, -3, 1.9, 2.5, 2.0], ids=["zero", "negative",
-                                                               "fractional_1_9",
-                                                               "fractional_2_5", "float"])
+@pytest.mark.parametrize("count", [0, -3, 1.9, 2.5, 2.0, True],
+                         ids=["zero", "negative", "fractional_1_9", "fractional_2_5", "float",
+                              "bool"])
 @pytest.mark.parametrize("name", sorted(COUNT_ENTRY_POINTS))
 def test_bad_count(name, count, cert, monkeypatch):
     # rejected before any scan, not truncated to a whole count
@@ -115,6 +115,27 @@ def test_bad_count(name, count, cert, monkeypatch):
     monkeypatch.setattr(gconv, "_build_series", unreachable)
     with pytest.raises(DomainError, match="must be"):
         COUNT_ENTRY_POINTS[name](count, cert)
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1], ids=["fractional", "bool", "negative"])
+def test_bad_sample_size(n):
+    with pytest.raises(DomainError, match="must be"):
+        gx.make_convolution(1.0, GOOD).sample(n, 0)
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, 0.0, 2.0, -1, 3, "1", None],
+                         ids=["true", "false", "float_1", "float_0", "float_2", "negative",
+                              "three", "string", "none"])
+def test_bad_density_order(order):
+    # True == 1 and 1.0 == 1, so a membership test alone accepts them as order 1
+    with pytest.raises(DomainError, match="order must be"):
+        gx.make_convolution(1.0, GOOD).density(1.5, order)
+
+
+def test_density_order_integers():
+    gc = gx.make_convolution(1.0, GOOD)
+    for order in range(3):
+        assert gc.density(1.5, np.int64(order)) == gc.density(1.5, order)
 
 
 def test_no_certificate_from_an_empty_grid():

@@ -17,7 +17,7 @@ from scipy.special import gammaincinv
 import gammacross
 from gammacross import cli, gconv
 from gammacross.counterexample import build_counterexample
-from gammacross.crossing import sign_profile
+from gammacross.crossing import perturbation_root_window, sign_profile
 from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import (
     MAX_TERMS,
@@ -193,21 +193,34 @@ class TestEvaluation:
 class TestTermWindow:
     """Windowed blocks against the same kernels summed over every term."""
 
-    def test_matches_full_series(self):
+    def test_matches_full_series(self, monkeypatch):
         cert = build_counterexample(0.25)
-        for gc in (make_convolution(0.25, cert.theta), make_convolution(0.25, cert.eta),
-                   make_convolution(0.5, [0.001, 1.0])):
+        gc_t, gc_e = make_convolution(0.25, cert.theta), make_convolution(0.25, cert.eta)
+        cases = [(gc, np.linspace(gc.quantile(1e-12), gc.quantile(1.0 - 1e-12), 512))
+                 for gc in (gc_t, gc_e, make_convolution(0.5, [0.001, 1.0]))]
+        # the scan's grid: blocks of hundreds of points at tiny y, and wide
+        # spans at large y split by their work
+        scan = np.geomspace(*tail_window(gc_t, gc_e, 1e-12), 4096)
+        cases.append((gc_e, scan))
+        narrowed = []  # one flag per block the engine evaluates
+
+        def spy(s, y_lo, y_hi, order):
+            lo, hi = _window(s, y_lo, y_hi, order)
+            narrowed.append(hi - lo < s.lgam.size - 1)
+            return lo, hi
+
+        monkeypatch.setattr(gconv, "_window", spy)
+        for gc, xs in cases:
             s = gc._series
             last = len(s.weights) - 1
-            xs = np.linspace(gc.quantile(1e-12), gc.quantile(1.0 - 1e-12), 512)
+            narrowed.clear()
             cdf = gc.cdf(xs)
             dens = [gc.density(xs, order) for order in (0, 1, 2)]
-            narrowed = 0
-            for start in range(0, xs.size, 64):
-                sl = slice(start, start + 64)
+            assert sum(narrowed) >= 4
+            # the full series in chunks of any size: each point is summed alone
+            for start in range(0, xs.size, 256):
+                sl = slice(start, start + 256)
                 y = xs[sl] / s.beta1
-                lo, hi = _window(s, y[0], y[-1], 2)
-                narrowed += int(hi - lo < last)
                 full = _cdf_block(s, y, 0, last)
                 assert np.max(np.abs(cdf[sl] - full)) <= 1e-15
                 base = _terms(s, 0, last, y)
@@ -219,7 +232,35 @@ class TestTermWindow:
                     magnitude = s.weights @ np.abs(base * factor) / s.beta1 ** (order + 1)
                     assert np.all(np.abs(dens[order][sl] - full)
                                   <= 1e-15 * np.maximum(1.0, magnitude))
-            assert narrowed >= 4
+        # D = F_eta - F_theta from the two-row pair series
+        pair = gc_e._pair(gc_t)
+        assert pair is not None
+        last = pair.lgam.size - 1
+        narrowed.clear()
+        d = gc_e.cdf(scan, minus=gc_t)
+        assert sum(narrowed) >= 4
+        for start in range(0, scan.size, 256):
+            sl = slice(start, start + 256)
+            full = _cdf_block(pair, scan[sl] / pair.beta1, 0, last)
+            assert np.max(np.abs(d[sl] - (full[0] - full[1]))) <= 2e-15
+
+    def test_scan_work_is_bounded(self, monkeypatch):
+        # the alpha = 0.5 default certificate's scan; 64-point blocks took 53
+        # kernel calls, 439,316 term entries and one matrix of 159,808
+        cert = build_counterexample(0.5)
+        sizes = []  # (points, entries) of every term matrix
+
+        def spy(s, lo, hi, y):
+            u = _terms(s, lo, hi, y)
+            sizes.append((y.size, u.size))
+            return u
+
+        monkeypatch.setattr(gconv, "_terms", spy)
+        sign_profile(cert.theta, cert.eta, 0.5, grid_size=cert.grid_size, tol=cert.tol,
+                     seed_window=perturbation_root_window(cert.theta, 0.5))
+        assert len(sizes) <= 40
+        assert sum(entries for _, entries in sizes) <= 350_000
+        assert max(entries for points, entries in sizes if points > 1) <= gconv._BLOCK_WORK
 
 
 class TestSeriesBase:
