@@ -17,12 +17,11 @@ from .crossing import (
     h_diff,
     lemma2_residual,
     near_zero_sign,
-    perturbation_root_window,
     sign_profile,
     tail_sign,
     u_star,
 )
-from .densities import SmoothDensity, from_convolution, gamma_unit, mix
+from .densities import SmoothDensity, gamma_unit, mix
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -46,16 +45,12 @@ from .mixtures import (
     bimodality_window,
     exp_pair_logconcavity_sides,
     lemma3_lambda,
-    logconcavity_check,
-    mixcond_check,
-    mixture_family_unimodal,
     mode_structure,
 )
 from .orders import (
     VMajWitness,
     log_majorizes,
     majorizes,
-    slr_check,
     st_dominates,
     star_order_check,
     v_majorizes,
@@ -78,7 +73,6 @@ __all__ = [
     "h1_closed",
     "h2_closed",
     "SmoothDensity",
-    "from_convolution",
     "gamma_unit",
     "mix",
     "majorizes",
@@ -88,7 +82,6 @@ __all__ = [
     "v_majorizes_brute",
     "st_dominates",
     "star_order_check",
-    "slr_check",
     "Sign",
     "Classification",
     "Crossing",
@@ -96,7 +89,6 @@ __all__ = [
     "sign_profile",
     "near_zero_sign",
     "tail_sign",
-    "perturbation_root_window",
     "u_star",
     "h_diff",
     "lemma2_residual",
@@ -106,9 +98,6 @@ __all__ = [
     "bimodality_window",
     "bimodal_mixture",
     "mode_structure",
-    "logconcavity_check",
-    "mixcond_check",
-    "mixture_family_unimodal",
     "exp_pair_logconcavity_sides",
     "CounterexampleCertificate",
     "VerificationReport",

@@ -23,12 +23,7 @@ from .counterexample import (
     construction,
     verify_certificate,
 )
-from .crossing import (
-    Classification,
-    CrossingReport,
-    perturbation_root_window,
-    sign_profile,
-)
+from .crossing import Classification, CrossingReport, sign_profile
 from .errors import DomainError, GammaCrossError, SearchExhaustedError
 from .gconv import make_convolution
 from .instances import random_majorized_pair
@@ -172,14 +167,11 @@ def _sweep_trial(trial_id: int, alpha: float, n: int, seed: int, args, near_cert
         if trial_id == 0:
             eps, delta = near_cert.eps, near_cert.delta
         theta, eta, _ = construction(eps, near_cert.lam, delta)
-        seed_window = perturbation_root_window(theta, alpha)
     else:
         theta, eta = random_majorized_pair(rng, n)
         theta, eta = list(map(float, theta)), list(map(float, eta))
-        seed_window = None
     try:
-        rep = sign_profile(theta, eta, alpha, grid_size=args.grid_size,
-                           tol=args.tol, seed_window=seed_window)
+        rep = sign_profile(theta, eta, alpha, grid_size=args.grid_size, tol=args.tol)
         label = rep.label
         k = rep.n_crossings
         xs = ";".join(hex_float(c.location) for c in rep.crossings)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from ._domain import check_count
 from ._hexjson import dumps, parse_float
 from ._version import ENGINE_VERSION
-from .crossing import (Classification, Crossing, CrossingReport,
-                       perturbation_root_window, sign_profile)
+from .crossing import Classification, Crossing, CrossingReport, sign_profile
 from .errors import DomainError, SearchExhaustedError
 from .mixtures import bimodality_window, lemma3_lambda
 from .orders import majorizes
@@ -152,8 +151,7 @@ def build_counterexample(alpha: float, x0: float | None = None,
         if min(theta) <= 0.0 or not majorizes(theta, eta):
             eps /= 2.0
             continue
-        rep = sign_profile(theta, eta, a, grid_size=grid_size, tol=tol,
-                           seed_window=perturbation_root_window(theta, a))
+        rep = sign_profile(theta, eta, a, grid_size=grid_size, tol=tol)
         if (rep.classification is Classification.MULTI and rep.n_crossings >= 3
                 and any(x0v - w < c.location < x0v + w for c in rep.crossings)):
             return CounterexampleCertificate(
@@ -250,20 +248,20 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
 
     rep = sign_profile(cert.theta, cert.eta, a,
                        grid_size=cert.grid_size * grid_factor,
-                       tol=cert.tol * float(tol_factor),
-                       seed_window=perturbation_root_window(cert.theta, a))
+                       tol=cert.tol * float(tol_factor))
     clause("recount_classification",
            rep.classification is Classification.MULTI and rep.n_crossings >= 3,
            f"classification={rep.label}")
     clause("crossing_count", rep.n_crossings == cert.n_crossings,
            f"recount={rep.n_crossings} certificate={cert.n_crossings}")
-    matched = all(
+    matched = sum(
         any(c.direction == r.direction
             and abs(c.location - r.location) <= 5e-5 * max(1.0, abs(r.location))
             for r in rep.crossings)
         for c in cert.crossings)
-    clause("crossing_locations", matched,
-           "certificate crossings reproduced at doubled resolution")
+    clause("crossing_locations", matched == cert.n_crossings,
+           f"{matched} of {cert.n_crossings} certificate crossings matched at "
+           f"grid_factor={grid_factor} tol_factor={float(tol_factor)!r}")
     clause("window_crossing",
            any(cert.x0 - cert.w < r.location < cert.x0 + cert.w for r in rep.crossings),
            f"middle crossing inside ({cert.x0 - cert.w:.9g}, {cert.x0 + cert.w:.9g})")

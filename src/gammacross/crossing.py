@@ -40,7 +40,6 @@ __all__ = [
     "CrossingReport",
     "near_zero_sign",
     "tail_sign",
-    "perturbation_root_window",
     "sign_profile",
     "u_star",
     "h_diff",
@@ -176,18 +175,6 @@ def _tail(t: np.ndarray, e: np.ndarray) -> Sign:
     return Sign.INDETERMINATE
 
 
-def perturbation_root_window(theta, alpha: float) -> tuple[float, float]:
-    """Interval guaranteed to contain sign changes in near-perturbation
-    comparisons: the supplemented densities are likelihood-ratio bracketed by
-    gamma(n alpha + 2, min theta) and gamma(n alpha + 2, max theta), whose
-    modes are (n alpha + 1) * scale."""
-    t = check_weights("theta", theta)
-    a = check_alpha(alpha)
-    pos = t[t > 0.0]
-    factor = t.size * a + 1.0
-    return float(factor * pos.min()), float(factor * pos.max())
-
-
 @dataclass
 class _Run:
     sign: int
@@ -212,16 +199,14 @@ def _runs(signs: np.ndarray, d: np.ndarray) -> list[_Run]:
 
 
 def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
-                 tol: float = DEFAULT_TOL,
-                 seed_window: tuple[float, float] | None = None) -> CrossingReport:
+                 tol: float = DEFAULT_TOL) -> CrossingReport:
     """Certify the sign runs and crossings of D(x) = F_eta(x) - F_theta(x).
 
     Evaluates D on `grid_size` log-spaced points over the closed-form
     window `tail_window(F_theta, F_eta, 1e-12)`, outside which |D| <= 1e-12,
-    plus 256 points on `seed_window` (an interval expected to hold
-    crossings, clipped to the window) when one is given, and assembles
-    certified runs where |D| > tol.  Each pair of adjacent runs of opposite
-    sign brackets one crossing, solved by Brent's method.  D comes from
+    and assembles certified runs where |D| > tol.  Each pair of adjacent
+    runs of opposite sign brackets one crossing, solved by Brent's method.
+    `CrossingReport.grid_size` is the number of points evaluated.  D comes from
     `gc_eta.cdf(x, minus=gc_theta)`, and `error_estimate` from the two series
     that evaluates.  ConvergenceError if the window leaves the double range
     (shapes near 0.01 and below).
@@ -254,11 +239,6 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
                                notes=("equal products with log-majorization dominance",))
 
     xs = np.geomspace(lo, hi, grid_size)
-    if seed_window is not None:
-        s_lo = max(lo, float(seed_window[0]))
-        s_hi = min(hi, float(seed_window[1]))
-        if s_lo < s_hi:
-            xs = np.unique(np.concatenate([xs, np.geomspace(s_lo, s_hi, 256)]))
 
     def dval(pts):
         return gc_e.cdf(pts, minus=gc_t)

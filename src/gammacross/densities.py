@@ -1,8 +1,7 @@
 """Small protocol tying a density to its first two derivatives.
 
-Mode analysis and the stochastic-order checks all need (f, f', f'') triples
-that accept numpy arrays.  The constructors here wrap the series engine,
-plain unit-scale gamma densities, and finite mixtures.
+Mode analysis needs (f, f', f'') triples that accept numpy arrays.  The
+constructors here build unit-scale gamma densities and finite mixtures.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._domain import check_alpha, check_weights
-from .gconv import GammaConvolution
 
-__all__ = ["SmoothDensity", "from_convolution", "gamma_unit", "mix"]
+__all__ = ["SmoothDensity", "gamma_unit", "mix"]
 
 
 @dataclass(frozen=True)
@@ -29,14 +27,6 @@ class SmoothDensity:
 
     def __call__(self, x):
         return self.value(x)
-
-
-def from_convolution(gc: GammaConvolution) -> SmoothDensity:
-    return SmoothDensity(
-        value=lambda x: gc.density(x, 0),
-        d1=lambda x: gc.density(x, 1),
-        d2=lambda x: gc.density(x, 2),
-    )
 
 
 def gamma_unit(alpha: float) -> SmoothDensity:

@@ -324,7 +324,8 @@ def _build_series(components: tuple[GammaComponent, ...], beta: float | None = N
     log_c0 = float(np.dot(shapes, np.log(p)))
     if log_c0 < _UNDERFLOW_LOG_FLOOR:
         raise ConvergenceError(
-            "scale ratios too extreme for the series (leading weight underflows)")
+            f"leading series weight underflows: its log, sum of shape * log(base / scale), "
+            f"is {log_c0:.6g}, below the floor {_UNDERFLOW_LOG_FLOOR:g}")
     factors = [(shape, pj) for shape, pj in zip(shapes, p) if pj < 1.0]
     w = np.ones(1)
     tail = 0.0

@@ -13,8 +13,8 @@ so its stationary points are the roots of that quadratic: x0 and
 alpha (1 - alpha) / (lam x0).  x0 is the smaller root, so a local minimum,
 exactly when x0^2 + 2(1-alpha) x0 - alpha(1-alpha) < 0, i.e. for x0 below
 sqrt(1-alpha) - (1-alpha).  For alpha >= 1 no lam produces an interior
-minimum.  The numeric mode scanner and the log-concavity /
-mixture-condition checks here certify those statements on windows.
+minimum.  The numeric mode scanner here locates and classifies the
+stationary points of a density on a window.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from . import densities
 from ._domain import check_alpha, check_grid_size, check_window
 from .densities import SmoothDensity
-from .errors import DomainError, UndecidedError
+from .errors import DomainError
 
 __all__ = [
     "lemma3_lambda",
@@ -37,9 +37,6 @@ __all__ = [
     "StationaryPoint",
     "ModeStructure",
     "mode_structure",
-    "logconcavity_check",
-    "mixcond_check",
-    "mixture_family_unimodal",
     "exp_pair_logconcavity_sides",
 ]
 
@@ -146,60 +143,6 @@ def mode_structure(f: SmoothDensity, window: tuple[float, float],
                          left_edge_max=bool(d1[0] < 0.0),
                          right_edge_max=bool(d1[-1] > 0.0),
                          window=(lo, hi))
-
-
-def logconcavity_check(f: SmoothDensity, window: tuple[float, float],
-                       grid_size: int = 512, tol: float = 1e-9) -> bool:
-    """Certify strict log-concavity on the window: (f'^2 - f'' f) / f^2 >= tol
-    at every grid point, i.e. a positive lower bound on (-log f)''."""
-    lo, hi = check_window(window)
-    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 16))
-    v = np.asarray(f.value(xs), dtype=float)
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise DomainError("density must be positive and finite on the window")
-    d1 = np.asarray(f.d1(xs), dtype=float)
-    d2 = np.asarray(f.d2(xs), dtype=float)
-    return bool(np.all((d1 * d1 - d2 * v) / (v * v) >= tol))
-
-
-def mixcond_check(f1: SmoothDensity, f2: SmoothDensity, window: tuple[float, float],
-                  grid_size: int = 2048, tol: float = 1e-9) -> bool:
-    """Mixture condition between the modes: wherever f1' < -tol and f2' > tol,
-    require f1'' f2' <= f1' f2'' (+ relative slack).  At such x the unique
-    p with p f1' + (1-p) f2' = 0 then has p f1'' + (1-p) f2'' < 0, so no
-    mixture of f1, f2 can have a local minimum there."""
-    lo, hi = check_window(window)
-    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 16))
-    f1p = np.asarray(f1.d1(xs), dtype=float)
-    f2p = np.asarray(f2.d1(xs), dtype=float)
-    mask = (f1p < -tol) & (f2p > tol)
-    if not np.any(mask):
-        return True
-    f1dd = np.asarray(f1.d2(xs), dtype=float)[mask]
-    f2dd = np.asarray(f2.d2(xs), dtype=float)[mask]
-    lhs = f1dd * f2p[mask]
-    rhs = f1p[mask] * f2dd
-    slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return bool(np.all(lhs <= rhs + slack))
-
-
-def mixture_family_unimodal(f1: SmoothDensity, f2: SmoothDensity,
-                            window: tuple[float, float], p_grid=None,
-                            grid_size: int = 512) -> bool:
-    """Certify that p f1 + (1-p) f2 is unimodal for every p on the grid
-    (default 129 evenly spaced weights including both endpoints).  Raises
-    UndecidedError if any mode classification is below curvature tolerance."""
-    ps = np.linspace(0.0, 1.0, 129) if p_grid is None else np.asarray(p_grid, dtype=float)
-    if ps.ndim != 1 or ps.size == 0 or np.any(ps < 0.0) or np.any(ps > 1.0):
-        raise DomainError("p_grid must contain weights in [0, 1]")
-    for p in ps:
-        m = densities.mix([(float(p), f1), (1.0 - float(p), f2)])
-        ms = mode_structure(m, window, grid_size=grid_size)
-        if ms.has_undecided:
-            raise UndecidedError(f"mode classification undecided at p={p}")
-        if not ms.unimodal:
-            return False
-    return True
 
 
 def exp_pair_logconcavity_sides(eps: float, lam: float, x):

@@ -5,8 +5,7 @@ relative tie tolerance of 1e-12.  The V-majorization witness search
 enumerates block boundaries and water-fills the sum constraint; every
 candidate is re-verified against the definition before it is returned, so a
 returned witness is always valid.  The stochastic checks (`st_dominates`,
-`star_order_check`, `slr_check`) are grid certifications built on the series
-engine.
+`star_order_check`) compare CDFs through the series engine.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._domain import check_grid_size, check_pair, check_weights, check_window, tie_tol
-from .densities import SmoothDensity
+from ._domain import check_pair, check_weights, tie_tol
 from .errors import DomainError, UndecidedError
 from .gconv import GammaConvolution, tail_window
 
@@ -31,7 +29,6 @@ __all__ = [
     "v_majorizes_brute",
     "st_dominates",
     "star_order_check",
-    "slr_check",
 ]
 
 def majorizes(theta, eta) -> bool:
@@ -234,33 +231,5 @@ def star_order_check(theta, eta, alpha: float, c_values: Sequence[float],
             raise UndecidedError(f"star order scan undecided at c={c}")
         if rep.classification not in (Classification.NO_CROSSING,
                                       Classification.SINGLE_CROSSING_BELOW):
-            return False
-    return True
-
-
-def slr_check(f: SmoothDensity, g: SmoothDensity, window: tuple[float, float],
-              grid_size: int = 512, tol: float = 1e-9) -> bool:
-    """Supplemented likelihood-ratio dominance of f by g on a window:
-    (a) f' g <= f g' everywhere, and (b) f'/g' nonincreasing along each of
-    the restricted sets {f' > tol} and {g' < -tol}."""
-    lo, hi = check_window(window)
-    xs = np.geomspace(lo, hi, check_grid_size(grid_size, 16))
-    fv = np.asarray(f.value(xs), dtype=float)
-    fp = np.asarray(f.d1(xs), dtype=float)
-    gv = np.asarray(g.value(xs), dtype=float)
-    gp = np.asarray(g.d1(xs), dtype=float)
-    lhs = fp * gv
-    rhs = fv * gp
-    slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    if not np.all(lhs <= rhs + slack):
-        return False
-    for mask in (fp > tol, gp < -tol):
-        if np.count_nonzero(mask) < 2:
-            continue
-        if np.any(np.abs(gp[mask]) < 1e-300):
-            return False
-        ratio = fp[mask] / gp[mask]
-        step_slack = tol * np.maximum(1.0, np.abs(ratio[:-1]))
-        if not np.all(ratio[1:] <= ratio[:-1] + step_slack):
             return False
     return True

@@ -107,6 +107,14 @@ class TestCheck:
                                     "--theta", "1,nope", "--eta", "2,3"])
         assert code == 1 and "cannot parse number" in err
 
+    def test_underflow_names_the_leading_weight(self, capsys):
+        # the scale ratio is only 2; alpha * sum(log p_j) is what passes -700
+        code, _, err = run(capsys, ["check", "--alpha", "1e6",
+                                    "--theta", "1,2", "--eta", "1.5,1.5"])
+        assert code == 1
+        assert "leading series weight" in err and "-700" in err
+        assert "scale ratios" not in err
+
 
 @pytest.fixture(scope="module")
 def cert_path(tmp_path_factory):

@@ -13,7 +13,7 @@ from gammacross.counterexample import (
     build_counterexample,
     verify_certificate,
 )
-from gammacross.crossing import Classification, perturbation_root_window, sign_profile
+from gammacross.crossing import Classification, sign_profile
 from gammacross.densities import gamma_unit
 from gammacross.errors import DomainError, SearchExhaustedError
 from gammacross.mixtures import bimodality_window, lemma3_lambda
@@ -171,6 +171,10 @@ class TestVerify:
         cm = clause_map(rep)
         assert not cm["crossing_locations"]
         assert cm["crossing_count"]
+        (detail,) = [c.detail for c in rep.clauses if c.name == "crossing_locations"]
+        assert "reproduced" not in detail
+        assert f"{cert.n_crossings - 1} of {cert.n_crossings}" in detail
+        assert "grid_factor=2 tol_factor=0.5" in detail
 
 
 class TestStability:
@@ -178,7 +182,6 @@ class TestStability:
         # the construction is robust along eps: halving it (delta = eps / 4)
         # still certifies at least three crossings
         theta, eta, _ = construction(cert.eps / 2.0, cert.lam, delta=cert.eps / 4.0)
-        rep = sign_profile(theta, eta, cert.alpha,
-                           seed_window=perturbation_root_window(theta, cert.alpha))
+        rep = sign_profile(theta, eta, cert.alpha)
         assert rep.classification is Classification.MULTI
         assert rep.n_crossings >= 3

@@ -8,14 +8,13 @@ import pytest
 from scipy.optimize import brentq
 
 from gammacross import crossing, gconv
-from gammacross.counterexample import build_counterexample
+from gammacross.counterexample import build_counterexample, verify_certificate
 from gammacross.crossing import (
     Classification,
     Sign,
     h_diff,
     lemma2_residual,
     near_zero_sign,
-    perturbation_root_window,
     sign_profile,
     tail_sign,
     u_star,
@@ -105,8 +104,7 @@ class TestSignProfile:
         x, x_fine = rep.crossings[0].location, fine.crossings[0].location
         assert abs(x_fine - x) <= 1e-9 * x
 
-    @pytest.mark.parametrize("seed_window", [None, (1.0, 20.0)])
-    def test_one_grid_evaluation_per_side(self, monkeypatch, seed_window):
+    def test_one_grid_evaluation_per_side(self, monkeypatch):
         # D is evaluated on the grid once, as one difference of the two
         # sides; every other CDF call is a scalar one from Brent's method
         calls = []
@@ -117,13 +115,13 @@ class TestSignProfile:
             return real(self, x, **kw)
 
         monkeypatch.setattr(GammaConvolution, "cdf", recording)
-        rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0, seed_window=seed_window)
+        rep = sign_profile([1.0, 4.0], [2.0, 3.0], 1.0)
         assert rep.n_crossings == 1
         grid_calls = [(conv, size, kw) for conv, size, kw in calls if size > 1]
         assert len(grid_calls) == 1
         ((conv, size, kw),) = grid_calls
         assert conv.components != kw["minus"].components
-        assert size == rep.grid_size + (0 if seed_window is None else 256)
+        assert size == rep.grid_size
         assert all(kw.get("minus") is not None for _, _, kw in calls)
 
     def test_window_ignores_cdf_rounding(self, monkeypatch):
@@ -268,13 +266,16 @@ class TestSharedBase:
 
     def test_majorized_pairs_share_a_base(self):
         pairs = [(a, t, e) for a, t, e in TestCrossingLocation.CHECK_FIXTURES]
-        for alpha in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
-            cert = build_counterexample(alpha)
-            pairs.append((alpha, cert.theta, cert.eta))
+        certs = [build_counterexample(alpha)
+                 for alpha in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)]
         for alpha, frac in ((0.25, 0.55), (0.5, 0.65), (0.75, 0.70)):
             top = math.sqrt(1.0 - alpha) - (1.0 - alpha)
-            cert = build_counterexample(alpha, x0=frac * top)
-            pairs.append((alpha, cert.theta, cert.eta))
+            certs.append(build_counterexample(alpha, x0=frac * top))
+        for cert in certs:
+            # the scan's one grid certifies and re-verifies every pattern
+            assert cert.n_crossings == 3, cert.alpha
+            assert verify_certificate(cert).passed, cert.alpha
+            pairs.append((cert.alpha, cert.theta, cert.eta))
         rng = np.random.default_rng(1213)
         for i in range(200):
             theta, eta = random_majorized_pair(rng, 2 + i % 7)
@@ -323,11 +324,9 @@ class TestCrossingLocation:
 
     def test_brent_inside_bracket_agrees_with_bisection(self, monkeypatch):
         cert = build_counterexample(0.25)
-        cases = [(a, t, e, None) for a, t, e in self.CHECK_FIXTURES]
-        cases.append((0.25, cert.theta, cert.eta,
-                      perturbation_root_window(cert.theta, 0.25)))
+        cases = self.CHECK_FIXTURES + [(0.25, cert.theta, cert.eta)]
         real = crossing.brentq
-        for alpha, theta, eta, seed_window in cases:
+        for alpha, theta, eta in cases:
             brackets = []
 
             def recording(f, a, b, **kwargs):
@@ -335,7 +334,7 @@ class TestCrossingLocation:
                 return real(f, a, b, **kwargs)
 
             monkeypatch.setattr(crossing, "brentq", recording)
-            rep = sign_profile(theta, eta, alpha, seed_window=seed_window)
+            rep = sign_profile(theta, eta, alpha)
             assert rep.classification is not Classification.UNDECIDED
             assert len(brackets) == rep.n_crossings >= 1
             gt, ge = make_convolution(alpha, theta), make_convolution(alpha, eta)
@@ -350,19 +349,6 @@ class TestCrossingLocation:
                 before, after = (-1.0, 1.0) if c.direction == "-+" else (1.0, -1.0)
                 assert before * d(x * (1.0 - 1e-6)) > 0.0
                 assert after * d(x * (1.0 + 1e-6)) > 0.0
-
-
-class TestPerturbationRootWindow:
-    def test_bracketing_modes(self):
-        lo, hi = perturbation_root_window([0.5, 2.0], 1.0)
-        assert lo == pytest.approx(3.0 * 0.5)
-        assert hi == pytest.approx(3.0 * 2.0)
-
-    def test_zero_weights_ignored(self):
-        lo, hi = perturbation_root_window([0.0, 1.0, 2.0], 0.5)
-        factor = 3 * 0.5 + 1.0
-        assert lo == pytest.approx(factor * 1.0)
-        assert hi == pytest.approx(factor * 2.0)
 
 
 class TestMixingPivot:

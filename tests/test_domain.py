@@ -14,7 +14,6 @@ GOOD = [1.0, 2.0]
 
 ALPHA_ENTRY_POINTS = {
     "near_zero_sign": lambda a: gx.near_zero_sign(GOOD, GOOD, a),
-    "perturbation_root_window": lambda a: gx.perturbation_root_window(GOOD, a),
     "sign_profile": lambda a: gx.sign_profile(GOOD, [1.5, 1.5], a),
     "h_diff": lambda a: gx.h_diff([1.0, 4.0], [2.0, 3.0], a, 2.5),
     "lemma2_residual": lambda a: gx.lemma2_residual(GOOD, 0.1, a, 1.0),
@@ -31,7 +30,6 @@ ALPHA_ENTRY_POINTS = {
 WEIGHT_ENTRY_POINTS = {
     "near_zero_sign": lambda w: gx.near_zero_sign(w, w, 1.0),
     "tail_sign": lambda w: gx.tail_sign(w, w),
-    "perturbation_root_window": lambda w: gx.perturbation_root_window(w, 1.0),
     "sign_profile": lambda w: gx.sign_profile(w, w, 1.0),
     "u_star": lambda w: gx.u_star(w, w),
     "h_diff": lambda w: gx.h_diff(w, w, 1.0, 2.5),
@@ -51,14 +49,6 @@ GRID_ENTRY_POINTS = {
     "build_counterexample": lambda n: gx.build_counterexample(0.5, grid_size=n),
     "mode_structure": lambda n: gx.mode_structure(gx.gamma_unit(2.0), (0.1, 5.0),
                                                   grid_size=n),
-    "mixture_family_unimodal": lambda n: gx.mixture_family_unimodal(
-        gx.gamma_unit(2.0), gx.gamma_unit(3.0), (0.1, 5.0), grid_size=n),
-    "logconcavity_check": lambda n: gx.logconcavity_check(gx.gamma_unit(0.5), (0.1, 5.0),
-                                                          grid_size=n),
-    "mixcond_check": lambda n: gx.mixcond_check(gx.gamma_unit(0.5), gx.gamma_unit(3.0),
-                                                (0.1, 5.0), grid_size=n),
-    "slr_check": lambda n: gx.slr_check(gx.gamma_unit(2.0), gx.gamma_unit(3.0), (0.1, 5.0),
-                                        grid_size=n),
 }
 
 

@@ -17,7 +17,7 @@ from scipy.special import gammaincinv
 import gammacross
 from gammacross import cli, gconv
 from gammacross.counterexample import build_counterexample
-from gammacross.crossing import perturbation_root_window, sign_profile
+from gammacross.crossing import sign_profile
 from gammacross.errors import ConvergenceError, DomainError
 from gammacross.gconv import (
     MAX_TERMS,
@@ -256,8 +256,7 @@ class TestTermWindow:
             return u
 
         monkeypatch.setattr(gconv, "_terms", spy)
-        sign_profile(cert.theta, cert.eta, 0.5, grid_size=cert.grid_size, tol=cert.tol,
-                     seed_window=perturbation_root_window(cert.theta, 0.5))
+        sign_profile(cert.theta, cert.eta, 0.5, grid_size=cert.grid_size, tol=cert.tol)
         assert len(sizes) <= 40
         assert sum(entries for _, entries in sizes) <= 350_000
         assert max(entries for points, entries in sizes if points > 1) <= gconv._BLOCK_WORK

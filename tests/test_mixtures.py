@@ -1,21 +1,17 @@
-"""Bimodal mixture construction, mode scanning, and the mixture conditions."""
+"""Bimodal mixture construction, mode scanning, and the exponential-pair identity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gammacross.densities import from_convolution, gamma_unit, mix
+from gammacross.densities import gamma_unit
 from gammacross.errors import DomainError
-from gammacross.gconv import GammaComponent, GammaConvolution
 from gammacross.mixtures import (
     bimodal_mixture,
     bimodality_window,
     exp_pair_logconcavity_sides,
     lemma3_lambda,
-    logconcavity_check,
-    mixcond_check,
-    mixture_family_unimodal,
     mode_structure,
 )
 
@@ -106,73 +102,6 @@ class TestModeStructure:
             mode_structure(gamma_unit(2.0), (5.0, 1.0))
         with pytest.raises(DomainError):
             mode_structure(gamma_unit(2.0), (0.1, 10.0), grid_size=16)
-
-
-class TestLogconcavity:
-    def test_single_gamma(self):
-        assert logconcavity_check(gamma_unit(2.0), (0.1, 30.0))
-
-    def test_logconcave_mixture(self):
-        # e^-x x (1 + x/2) has (-log f)'' = 1/x^2 + (1/4)/(1 + x/2)^2 > 0
-        f = mix([(0.5, gamma_unit(2.0)), (0.5, gamma_unit(3.0))])
-        assert logconcavity_check(f, (0.1, 30.0))
-
-    def test_bimodal_mixture_fails(self):
-        _, s = bimodal_mixture(0.5, 0.1)
-        assert not logconcavity_check(s, (0.02, 1.0))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            logconcavity_check(gamma_unit(2.0), (0.0, 10.0))
-
-
-class TestMixcond:
-    def _pair(self):
-        w1 = GammaConvolution((GammaComponent(1.5, 2.0), GammaComponent(1.5, 1.5),
-                               GammaComponent(1.0, 1.0), GammaComponent(1.0, 0.5)))
-        w3 = GammaConvolution((GammaComponent(2.5, 1.5), GammaComponent(2.5, 2.0),
-                               GammaComponent(1.0, 1.0), GammaComponent(1.0, 0.5)))
-        return from_convolution(w1), from_convolution(w3)
-
-    def test_supplemented_pair_between_modes(self):
-        f1, f3 = self._pair()
-        m1 = mode_structure(f1, (0.5, 30.0)).points[0].location
-        m3 = mode_structure(f3, (0.5, 30.0)).points[0].location
-        assert m1 == pytest.approx(5.1114585, abs=1e-5)
-        assert m3 == pytest.approx(8.5360425, abs=1e-5)
-        assert mixcond_check(f1, f3, (m1, m3))
-
-    def test_trivial_when_mask_empty(self):
-        f1, _ = self._pair()
-        assert mixcond_check(f1, f1, (5.0, 9.0))
-
-    def test_low_shape_pair_fails(self):
-        assert not mixcond_check(gamma_unit(0.5), gamma_unit(1.5), (1e-4, 0.5))
-
-    def test_domain(self):
-        f1, f3 = self._pair()
-        with pytest.raises(DomainError):
-            mixcond_check(f1, f3, (9.0, 5.0))
-
-
-class TestMixtureFamily:
-    def test_unimodal_above_shape_one(self):
-        assert mixture_family_unimodal(gamma_unit(2.0), gamma_unit(1.0), (1e-10, 36.0))
-
-    def test_planted_minimum_fails(self):
-        lam = lemma3_lambda(0.5, 0.1)
-        p = 1.0 / (1.0 + lam)
-        assert not mixture_family_unimodal(gamma_unit(0.5), gamma_unit(1.5),
-                                           (1e-10, 3.5), p_grid=[0.0, p, 1.0],
-                                           grid_size=4096)
-
-    def test_self_family(self):
-        assert mixture_family_unimodal(gamma_unit(2.0), gamma_unit(2.0), (1e-6, 30.0))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            mixture_family_unimodal(gamma_unit(2.0), gamma_unit(1.0), (1e-6, 30.0),
-                                    p_grid=[0.5, 1.5])
 
 
 class TestExpPairIdentity:

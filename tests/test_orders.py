@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from gammacross.densities import from_convolution, gamma_unit
 from gammacross.errors import DomainError
 from gammacross.gconv import make_convolution
 from gammacross.instances import random_log_majorized_pair, random_majorized_pair
 from gammacross.orders import (
     log_majorizes,
     majorizes,
-    slr_check,
     st_dominates,
     star_order_check,
     v_majorizes,
@@ -156,29 +154,3 @@ class TestStarOrderCheck:
             star_order_check([1.0, 3.0], [1.0, 2.0], 1.0, [0.5, 0.0])
         with pytest.raises(DomainError):
             star_order_check([1.0, 3.0], [1.0, 2.0], 1.0, [-1.0])
-
-
-class TestSlrCheck:
-    def test_adjacent_shape_pairs(self):
-        assert slr_check(gamma_unit(2.0), gamma_unit(3.0), (0.05, 40.0))
-        assert slr_check(gamma_unit(0.5), gamma_unit(1.5), (0.05, 40.0))
-
-    def test_supplemented_convolution_pair(self):
-        f = from_convolution(make_convolution(1.0, [0.5, 1.0]))
-        g = from_convolution(make_convolution(2.0, [0.5, 1.0]))
-        assert slr_check(f, g, (0.5, 20.0))
-
-    def test_reversed_roles_fail(self):
-        assert not slr_check(gamma_unit(3.0), gamma_unit(2.0), (0.05, 40.0))
-        assert not slr_check(gamma_unit(1.5), gamma_unit(0.5), (1.5, 40.0))
-        f = from_convolution(make_convolution(1.0, [0.5, 1.0]))
-        g = from_convolution(make_convolution(2.0, [0.5, 1.0]))
-        assert not slr_check(g, f, (0.5, 20.0))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            slr_check(gamma_unit(2.0), gamma_unit(3.0), (0.0, 40.0))
-        with pytest.raises(DomainError):
-            slr_check(gamma_unit(2.0), gamma_unit(3.0), (2.0, 1.0))
-        with pytest.raises(DomainError):
-            slr_check(gamma_unit(2.0), gamma_unit(3.0), (1.0, 2.0), grid_size=8)
