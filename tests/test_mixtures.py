@@ -1,12 +1,14 @@
-"""Bimodal mixture construction, mode scanning, and the exponential-pair identity."""
+"""Bimodal mixture construction, mode scanning of mixture families, and the
+exponential-pair identity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gammacross.densities import gamma_unit
+from gammacross.densities import SmoothDensity, gamma_unit, mix
 from gammacross.errors import DomainError
+from gammacross.gconv import GammaComponent, GammaConvolution
 from gammacross.mixtures import (
     bimodal_mixture,
     bimodality_window,
@@ -102,6 +104,61 @@ class TestModeStructure:
             mode_structure(gamma_unit(2.0), (5.0, 1.0))
         with pytest.raises(DomainError):
             mode_structure(gamma_unit(2.0), (0.1, 10.0), grid_size=16)
+
+
+def family_structures(f1, f2, window, ps=np.linspace(0.0, 1.0, 129), grid_size=512):
+    """mode_structure of p f1 + (1-p) f2 for each weight p, as criterion 7 scans it."""
+    return [mode_structure(mix([(float(p), f1), (1.0 - float(p), f2)]), window,
+                           grid_size=grid_size) for p in ps]
+
+
+def convolution_density(gc):
+    return SmoothDensity(value=lambda x: gc.density(x, 0),
+                         d1=lambda x: gc.density(x, 1),
+                         d2=lambda x: gc.density(x, 2))
+
+
+class TestMixcond:
+    def test_supplemented_pair_between_modes(self):
+        w1 = GammaConvolution((GammaComponent(1.5, 2.0), GammaComponent(1.5, 1.5),
+                               GammaComponent(1.0, 1.0), GammaComponent(1.0, 0.5)))
+        w3 = GammaConvolution((GammaComponent(2.5, 1.5), GammaComponent(2.5, 2.0),
+                               GammaComponent(1.0, 1.0), GammaComponent(1.0, 0.5)))
+        f1, f3 = convolution_density(w1), convolution_density(w3)
+        m1 = mode_structure(f1, (0.5, 30.0)).points[0].location
+        m3 = mode_structure(f3, (0.5, 30.0)).points[0].location
+        assert m1 == pytest.approx(5.1114585, abs=1e-5)
+        assert m3 == pytest.approx(8.5360425, abs=1e-5)
+        # no mixture of the pair has a local minimum between the two modes
+        for ms in family_structures(f1, f3, (m1, m3)):
+            assert ms.n_minima == 0 and not ms.has_undecided
+
+    def test_low_shape_pair_fails(self):
+        structures = family_structures(gamma_unit(0.5), gamma_unit(1.5), (1e-4, 0.5))
+        assert any(ms.n_minima == 1 for ms in structures)
+
+
+class TestMixtureFamily:
+    def test_unimodal_above_shape_one(self):
+        assert all(ms.unimodal for ms in
+                   family_structures(gamma_unit(2.0), gamma_unit(1.0), (1e-10, 36.0)))
+
+    def test_planted_minimum_fails(self):
+        lam = lemma3_lambda(0.5, 0.1)
+        p = 1.0 / (1.0 + lam)
+        structures = family_structures(gamma_unit(0.5), gamma_unit(1.5), (1e-10, 3.5),
+                                       ps=[0.0, p, 1.0], grid_size=4096)
+        assert [ms.unimodal for ms in structures] == [True, False, True]
+        assert structures[1].points[0].location == pytest.approx(0.1, rel=1e-12)
+
+    def test_self_family(self):
+        assert all(ms.unimodal for ms in
+                   family_structures(gamma_unit(2.0), gamma_unit(2.0), (1e-6, 30.0)))
+
+    def test_domain(self):
+        # a weight outside [0, 1] leaves the other one negative
+        with pytest.raises(DomainError):
+            family_structures(gamma_unit(2.0), gamma_unit(1.0), (1e-6, 30.0), ps=[0.5, 1.5])
 
 
 class TestExpPairIdentity:
