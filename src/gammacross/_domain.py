@@ -3,7 +3,7 @@
 Every check here raises DomainError on bad input and otherwise returns the
 validated input, if any, as the type the callers compute with.  A weight
 vector is 1-d, nonempty, finite and nonnegative with at least one positive
-entry; a window is an interval with 0 < lo < hi < inf; a count is an
+entry; a window is two numbers 0 < lo < hi < inf; a count is an
 integer (not a bool) of at least the caller's minimum, and a grid size one
 of at most 2**20; a crossing scan has a grid of at least 64 points and a
 tolerance in (0, 1).
@@ -51,9 +51,12 @@ def check_pair(theta, eta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_window(window) -> tuple[float, float]:
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise DomainError(f"window must satisfy 0 < lo < hi, got {window!r}")
+    try:
+        lo, hi = (float(v) for v in window)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if isinstance(window, str) or not (0.0 < lo < hi and math.isfinite(hi)):
+        raise DomainError(f"window must be two numbers with 0 < lo < hi, got {window!r}")
     return lo, hi
 
 

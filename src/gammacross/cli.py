@@ -18,12 +18,16 @@ from ._hexjson import dumps, hex_float, parse_float
 from ._version import ENGINE_VERSION
 from .acceptance import run_selftest
 from .counterexample import (
+    DEFAULT_BUDGET,
+    DEFAULT_GRID_FACTOR,
+    DEFAULT_TOL_FACTOR,
     CounterexampleCertificate,
     build_counterexample,
     construction,
     verify_certificate,
 )
-from .crossing import Classification, CrossingReport, sign_profile
+from .crossing import (DEFAULT_GRID_SIZE, DEFAULT_TOL, Classification, CrossingReport,
+                       sign_profile)
 from .errors import DomainError, GammaCrossError, SearchExhaustedError
 from .gconv import make_convolution
 from .instances import random_majorized_pair
@@ -130,11 +134,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.alpha >= 1.0:
-        print("counterexample requires shape below 1: at or above 1 the "
-              "difference of distribution functions crosses zero exactly once",
-              file=sys.stderr)
-        return 1
     try:
         cert = build_counterexample(args.alpha, x0=args.x0,
                                     search_budget=args.budget)
@@ -228,8 +227,8 @@ def _build_parser() -> _Parser:
                    help="common shape parameter")
     c.add_argument("--theta", required=True, help="comma-separated weights")
     c.add_argument("--eta", required=True, help="comma-separated weights")
-    c.add_argument("--grid-size", type=int, default=2048)
-    c.add_argument("--tol", type=parse_float, default=1e-8)
+    c.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    c.add_argument("--tol", type=parse_float, default=DEFAULT_TOL)
     c.add_argument("--out", help="write a JSON report here")
     c.set_defaults(fn=cmd_check)
 
@@ -237,14 +236,14 @@ def _build_parser() -> _Parser:
                        help="construct a triple-crossing certificate (shape < 1)")
     x.add_argument("--alpha", type=parse_float, required=True)
     x.add_argument("--x0", type=parse_float, default=None)
-    x.add_argument("--budget", type=int, default=40)
+    x.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     x.add_argument("--out", help="write the certificate JSON here")
     x.set_defaults(fn=cmd_counterexample)
 
     v = sub.add_parser("verify", help="re-verify a certificate from scratch")
     v.add_argument("--cert", required=True, help="certificate JSON path")
-    v.add_argument("--grid-factor", type=int, default=2)
-    v.add_argument("--tol-factor", type=parse_float, default=0.5)
+    v.add_argument("--grid-factor", type=int, default=DEFAULT_GRID_FACTOR)
+    v.add_argument("--tol-factor", type=parse_float, default=DEFAULT_TOL_FACTOR)
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("sweep", help="seeded randomized classification sweep (CSV)")
@@ -252,8 +251,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--n", required=True, help="comma-separated component counts")
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--grid-size", type=int, default=2048)
-    s.add_argument("--tol", type=parse_float, default=1e-8)
+    s.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    s.add_argument("--tol", type=parse_float, default=DEFAULT_TOL)
     s.add_argument("--out", help="write CSV here (default stdout)")
     s.add_argument("--near-counterexample", action="store_true",
                    help="sample perturbations of a fresh certificate")

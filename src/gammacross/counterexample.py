@@ -47,7 +47,9 @@ __all__ = [
     "verify_certificate",
 ]
 
-_DEFAULT_BUDGET = 40
+DEFAULT_BUDGET = 40
+DEFAULT_GRID_FACTOR = 2
+DEFAULT_TOL_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class CounterexampleCertificate:
                 eta=tuple(parse_float(v) for v in raw["eta"]),
                 crossings=crossings,
                 tol=parse_float(raw["tolerances"]["tol"]),
-                grid_size=int(raw["tolerances"]["grid_size"]),
+                grid_size=check_count("grid_size", raw["tolerances"]["grid_size"], 1),
                 engine_version=str(raw.get("engine_version", ENGINE_VERSION)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -123,19 +125,19 @@ def construction(eps: float, lam: float, delta: float | None = None,
 
 
 def build_counterexample(alpha: float, x0: float | None = None,
-                         search_budget: int = _DEFAULT_BUDGET,
-                         grid_size: int = 2048, tol: float = 1e-8) -> CounterexampleCertificate:
+                         search_budget: int = DEFAULT_BUDGET) -> CounterexampleCertificate:
     """Search decreasing eps for a certified triple crossing at shape alpha.
 
-    Raises DomainError outside 0 < alpha < 1 (no such pattern exists at or
-    above shape 1) and SearchExhaustedError if the budget runs out; the
-    exception's `best` carries the closest report seen.
+    Each candidate is scanned by `sign_profile` at its default grid and
+    tolerance, which the certificate records.  Raises DomainError outside
+    0 < alpha < 1 (no such pattern exists at or above shape 1) and
+    SearchExhaustedError if the budget runs out; the exception's `best`
+    carries the closest report seen.
     """
     a = float(alpha)
     if not (0.0 < a < 1.0):
-        raise DomainError(
-            f"triple crossings require 0 < alpha < 1 (CDF pairs cross once for alpha >= 1), "
-            f"got {alpha!r}")
+        raise DomainError(f"triple crossings require a shape below 1, 0 < alpha < 1 "
+                          f"(CDF pairs cross once for alpha >= 1), got {alpha!r}")
     search_budget = check_count("search_budget", search_budget, 1)
     w_lo, w_hi = bimodality_window(a)
     x0v = 0.5 * w_hi if x0 is None else float(x0)
@@ -151,13 +153,13 @@ def build_counterexample(alpha: float, x0: float | None = None,
         if min(theta) <= 0.0 or not majorizes(theta, eta):
             eps /= 2.0
             continue
-        rep = sign_profile(theta, eta, a, grid_size=grid_size, tol=tol)
+        rep = sign_profile(theta, eta, a)
         if (rep.classification is Classification.MULTI and rep.n_crossings >= 3
                 and any(x0v - w < c.location < x0v + w for c in rep.crossings)):
             return CounterexampleCertificate(
                 alpha=a, lam=lam, x0=x0v, w=w, eps=eps, delta=delta,
                 theta=theta, eta=eta, crossings=rep.crossings,
-                tol=tol, grid_size=grid_size)
+                tol=rep.tol, grid_size=rep.grid_size)
         if best is None or rep.n_crossings > best.n_crossings:
             best = rep
         eps /= 2.0
@@ -196,8 +198,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
-                       tol_factor: float = 0.5) -> VerificationReport:
+def verify_certificate(cert: CounterexampleCertificate,
+                       grid_factor: int = DEFAULT_GRID_FACTOR,
+                       tol_factor: float = DEFAULT_TOL_FACTOR) -> VerificationReport:
     """Re-derive every clause of a certificate at raised resolution.
 
     Checks the parameter algebra, positivity, majorization, the product
@@ -230,19 +233,22 @@ def verify_certificate(cert: CounterexampleCertificate, grid_factor: int = 2,
            f"lambda={cert.lam!r} recomputed={lam_ref!r}")
     clause("window_halfwidth", 0.0 < cert.w and cert.x0 - cert.w > 0.0,
            f"w={cert.w:.12g}")
-    clause("eps_delta", 0.0 < cert.delta < cert.eps < 1.0 / cert.lam,
-           f"eps={cert.eps!r} delta={cert.delta!r} 1/lambda={1.0 / cert.lam!r}")
+    inv_lam = 1.0 / cert.lam if cert.lam > 0.0 else math.nan
+    clause("eps_delta", 0.0 < cert.delta < cert.eps < inv_lam,
+           f"eps={cert.eps!r} delta={cert.delta!r} 1/lambda={inv_lam!r}")
 
     theta_ref, eta_ref, _ = construction(cert.eps, cert.lam, cert.delta)
-    vec_ok = (all(_close_ulp(x, y) for x, y in zip(theta_ref, cert.theta))
+    vec_ok = (len(cert.theta) == len(cert.eta) == 3
+              and all(_close_ulp(x, y) for x, y in zip(theta_ref, cert.theta))
               and all(_close_ulp(x, y) for x, y in zip(eta_ref, cert.eta)))
     clause("vector_algebra", vec_ok and min(cert.theta) > 0.0,
            f"theta={cert.theta!r} eta={cert.eta!r}")
 
     clause("majorization", majorizes(cert.theta, cert.eta)
            and sorted(cert.theta) != sorted(cert.eta), "eta majorized by theta, not equal")
-    lp_t = math.fsum(math.log(v) for v in cert.theta)
-    lp_e = math.fsum(math.log(v) for v in cert.eta)
+    # NaN, which satisfies no inequality, unless every entry is positive
+    lp_t, lp_e = (math.fsum(math.log(v) for v in w) if min(w) > 0.0 else math.nan
+                  for w in (cert.theta, cert.eta))
     clause("product_inequality", lp_t < lp_e - 1e-12,
            f"log prod theta={lp_t:.12g} log prod eta={lp_e:.12g}")
 

@@ -122,20 +122,14 @@ class CrossingReport:
                 raise DomainError("crossing margins must be positive")
 
 
-def near_zero_sign(theta, eta, alpha: float) -> Sign:
+def near_zero_sign(theta, eta) -> Sign:
     """Sign of D = F_eta - F_theta as x -> 0+.
 
     F_theta/F_eta tends to (prod theta / prod eta)^-alpha, so D > 0 iff
-    prod(theta) > prod(eta).  alpha affects the magnitude, never the sign;
-    it is validated and otherwise unused.  Product ties within relative
-    1e-12 (compared in log space) give INDETERMINATE.
+    prod(theta) > prod(eta) at every shape alpha.  Product ties within
+    relative 1e-12 (compared in log space) give INDETERMINATE.
     """
     t, e = check_pair(theta, eta)
-    check_alpha(alpha)
-    return _near_zero(t, e)
-
-
-def _near_zero(t: np.ndarray, e: np.ndarray) -> Sign:
     lt = -math.inf if np.any(t == 0.0) else math.fsum(math.log(v) for v in t)
     le = -math.inf if np.any(e == 0.0) else math.fsum(math.log(v) for v in e)
     if lt == le:
@@ -159,17 +153,13 @@ def tail_sign(theta, eta) -> Sign:
     Each comparison uses the relative tie tolerance, and only a tie in all
     three gives INDETERMINATE.
     """
-    return _tail(check_weights("theta", theta), check_weights("eta", eta))
-
-
-def _tail(t: np.ndarray, e: np.ndarray) -> Sign:
     def key(w: np.ndarray) -> tuple[float, int, float]:
         top = float(w.max())
         tied = np.abs(w - top) <= tie_tol(top)
         # log C / alpha; zero weights contribute log1p(0) = 0
         return top, int(tied.sum()), -math.fsum(np.log1p(-w[~tied] / top))
 
-    for a, b in zip(key(t), key(e)):
+    for a, b in zip(key(check_weights("theta", theta)), key(check_weights("eta", eta))):
         if abs(a - b) > tie_tol(a, b):
             return Sign.PLUS if a > b else Sign.MINUS
     return Sign.INDETERMINATE
@@ -219,7 +209,7 @@ def sign_profile(theta, eta, alpha: float, grid_size: int = DEFAULT_GRID_SIZE,
     gc_e = make_convolution(a, e)
     err_est = difference_error_estimate(gc_e, gc_t)
     lo, hi = tail_window(gc_t, gc_e, 1e-12)
-    near, tail = _near_zero(t, e), _tail(t, e)
+    near, tail = near_zero_sign(t, e), tail_sign(t, e)
 
     def base_report(classification, sign_sequence=(), crossings=(), notes=()):
         return CrossingReport(
@@ -327,7 +317,7 @@ def h_diff(theta, eta, alpha: float, u: float) -> float:
 
 
 def lemma2_residual(theta_star, delta: float, alpha: float, x: float,
-                    g_tail: GammaConvolution | None = None, h: float = 1e-4) -> float:
+                    g_tail: GammaConvolution | None = None) -> float:
     """Relative residual of the perturbation identity
 
         d/d delta F(x; delta) = alpha (theta2 - theta1) f_supp'(x)
@@ -335,7 +325,8 @@ def lemma2_residual(theta_star, delta: float, alpha: float, x: float,
     where F(.; delta) is the CDF of (theta1* - delta) X1 + (theta2* + delta) X2
     + G, theta_i are the perturbed weights, and f_supp is the density of the
     same sum with one extra exponential supplement at each perturbed scale.
-    The left side is a central difference with step h.
+    The left side is a central difference with step h = 1e-4, so
+    theta1* - delta - h must stay positive.
     """
     ts = np.asarray(theta_star, dtype=float)
     if ts.shape != (2,):
@@ -345,10 +336,10 @@ def lemma2_residual(theta_star, delta: float, alpha: float, x: float,
         raise DomainError(f"theta_star must satisfy 0 < theta1 <= theta2, got {ts!r}")
     a = check_alpha(alpha)
     delta = float(delta)
-    h = float(h)
+    h = 1e-4
     # delta = 0 is legal: the identity degenerates to 0 = 0 when theta1* = theta2*
-    if not (h > 0.0 and delta >= 0.0 and t1s - delta - h > 0.0):
-        raise DomainError("need h > 0, delta >= 0 and theta1* - delta - h > 0")
+    if not (delta >= 0.0 and t1s - delta - h > 0.0):
+        raise DomainError("need delta >= 0 and theta1* - delta - h > 0")
     x = float(x)
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be positive and finite, got {x!r}")

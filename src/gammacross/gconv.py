@@ -491,14 +491,13 @@ def _gamma_variates(rng: np.random.Generator, shape: float, n: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class EcdfBand:
-    """Empirical CDF with a two-sided band of DKW half-width.
+    """Empirical CDF with a two-sided 99% band of DKW half-width.
 
-    half_width = sqrt(ln(2 / (1 - confidence)) / (2 n)); the true CDF lies
-    inside the band with probability at least `confidence`.
+    half_width = sqrt(ln(2 / (1 - 0.99)) / (2 n)); the true CDF lies inside
+    the band, sup_deviation <= half_width, with probability at least 0.99.
     """
 
     sorted_samples: np.ndarray
-    confidence: float
     half_width: float
 
     @property
@@ -516,9 +515,6 @@ class EcdfBand:
         hi = np.arange(1, self.n + 1) / self.n - f
         lo = f - np.arange(0, self.n) / self.n
         return float(max(hi.max(), lo.max()))
-
-    def contains(self, cdf_at_sorted: np.ndarray) -> bool:
-        return self.sup_deviation(cdf_at_sorted) <= self.half_width
 
     def sup_deviation_bound(self, grid: np.ndarray, cdf_at_grid: np.ndarray) -> float:
         """Rigorous upper bound on sup_x |ecdf - F| from F on a coarse grid.
@@ -543,16 +539,15 @@ class EcdfBand:
         return float(max(over, under, edges, 0.0))
 
 
-def ecdf_band(samples: np.ndarray, confidence: float = 0.99) -> EcdfBand:
+def ecdf_band(samples: np.ndarray) -> EcdfBand:
+    """The 99% DKW band of the empirical CDF of a nonempty finite sample."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise DomainError("samples must be a nonempty 1-d array")
     if not np.all(np.isfinite(samples)):
         raise DomainError("samples must be finite")
-    if not (0.0 < confidence < 1.0):
-        raise DomainError(f"confidence must be in (0, 1), got {confidence!r}")
-    hw = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples.size))
-    return EcdfBand(np.sort(samples), confidence, hw)
+    hw = math.sqrt(math.log(2.0 / (1.0 - 0.99)) / (2.0 * samples.size))
+    return EcdfBand(np.sort(samples), hw)
 
 
 # -- closed-form references ------------------------------------------------

@@ -200,24 +200,19 @@ def v_majorizes_brute(theta, eta, step: float) -> bool:
 
 
 def st_dominates(lower: GammaConvolution, upper: GammaConvolution,
-                 grid=None, tol: float = 1e-8) -> bool:
-    """True iff F_lower(x) - F_upper(x) >= -tol on the grid (i.e. `lower` is
-    stochastically smaller), the difference from `lower.cdf(grid,
-    minus=upper)`.  The default grid is 512 log-spaced points over the
-    closed-form `tail_window(lower, upper, 1e-9)`, outside which both CDFs
-    differ by at most 1e-9; an explicit grid must be nonempty and 1-d."""
-    if grid is None:
-        grid = np.geomspace(*tail_window(lower, upper, 1e-9), 512)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("grid must be a nonempty 1-d array")
+                 tol: float = 1e-8) -> bool:
+    """True iff F_lower(x) - F_upper(x) >= -tol (i.e. `lower` is
+    stochastically smaller) on 512 log-spaced points over the closed-form
+    `tail_window(lower, upper, 1e-9)`, outside which both CDFs differ by at
+    most 1e-9.  The difference comes from `lower.cdf(grid, minus=upper)`."""
+    grid = np.geomspace(*tail_window(lower, upper, 1e-9), 512)
     return bool(np.all(lower.cdf(grid, minus=upper) >= -tol))
 
 
-def star_order_check(theta, eta, alpha: float, c_values: Sequence[float],
-                     grid_size: int = 512, tol: float = 1e-8) -> bool:
+def star_order_check(theta, eta, alpha: float, c_values: Sequence[float]) -> bool:
     """Scale-family crossing test: for every c, F_eta - F_(theta/c) must
-    change sign at most once and only from - to +.  UndecidedError if any
+    change sign at most once and only from - to +, by a 512-point
+    `sign_profile` scan at its default tolerance.  UndecidedError if any
     scaled comparison cannot be certified."""
     from .crossing import Classification, sign_profile  # cycle: orders <-> crossing
 
@@ -226,7 +221,7 @@ def star_order_check(theta, eta, alpha: float, c_values: Sequence[float],
     if np.any(cs == 0.0):
         raise DomainError("c values must be positive")
     for c in cs:
-        rep = sign_profile(t / c, eta, alpha, grid_size=grid_size, tol=tol)
+        rep = sign_profile(t / c, eta, alpha, grid_size=512)
         if rep.classification is Classification.UNDECIDED:
             raise UndecidedError(f"star order scan undecided at c={c}")
         if rep.classification not in (Classification.NO_CROSSING,

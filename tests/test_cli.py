@@ -151,6 +151,26 @@ class TestCounterexampleVerify:
         assert code == 1
         assert "shape below 1" in err
 
+    @pytest.mark.parametrize("field,index,value,clause", [
+        ("lambda", None, 0, "eps_delta"),
+        ("lambda", None, "-0x0p+0", "eps_delta"),
+        ("theta", 0, "0x0p+0", "product_inequality"),
+        ("eta", 0, "0x0p+0", "product_inequality"),
+    ], ids=["lambda_zero", "lambda_negative_zero", "theta_zero_entry", "eta_zero_entry"])
+    def test_degenerate_field_fails_its_clause(self, capsys, cert_path, tmp_path, field,
+                                               index, value, clause):
+        # a report with a FAIL clause and exit 2, not a traceback
+        raw = json.loads(cert_path.read_text())
+        if index is None:
+            raw[field] = value
+        else:
+            raw[field][index] = value
+        bad = tmp_path / "degenerate.json"
+        bad.write_text(json.dumps(raw))
+        code, out, _ = run(capsys, ["verify", "--cert", str(bad)])
+        assert code == 2
+        assert f"[FAIL] {clause}:" in out and "overall: FAIL" in out
+
     def test_missing_certificate(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", "--cert", str(tmp_path / "no.json")])
         assert code == 1

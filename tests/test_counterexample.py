@@ -1,6 +1,7 @@
 """Triple-crossing certificate construction, verification, and tampering."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -100,16 +101,12 @@ class TestSerialization:
         assert again.to_json() == text
 
     def test_decimal_mirror_present(self, cert):
-        import json
-
         raw = json.loads(cert.to_json())
         assert raw["decimal"]["alpha"] == cert.alpha
         assert raw["alpha"] == float(cert.alpha).hex()
         assert len(raw["crossings"]) == cert.n_crossings
 
     def test_decimal_string_fields_read_as_decimal(self, cert):
-        import json
-
         def to_decimal(obj):
             if isinstance(obj, str) and obj.startswith("0x"):
                 return repr(float.fromhex(obj))
@@ -127,6 +124,14 @@ class TestSerialization:
         for text, want in (("10", 10.0), ("0x10", 16.0), ("-0x1p-1", -0.5)):
             raw["eps"] = text
             assert CounterexampleCertificate.from_json(json.dumps(raw)).eps == want
+
+    @pytest.mark.parametrize("value", [2048.9, True], ids=["fractional", "bool"])
+    def test_grid_size_must_be_an_integer(self, cert, value):
+        # int() would read 2048.9 as 2048 and true as 1
+        raw = json.loads(cert.to_json())
+        raw["tolerances"]["grid_size"] = value
+        with pytest.raises(DomainError, match="malformed certificate"):
+            CounterexampleCertificate.from_json(json.dumps(raw))
 
     def test_malformed_rejected(self):
         with pytest.raises(DomainError):
@@ -155,6 +160,13 @@ class TestVerify:
         cm = clause_map(rep)
         assert not cm["majorization"]
         assert not cm["product_inequality"]
+
+    def test_truncated_vectors_fail_vector_algebra(self, cert):
+        # zip alone would compare the two kept entries and pass
+        tampered = dataclasses.replace(cert, theta=cert.theta[:2], eta=cert.eta[:2])
+        rep = verify_certificate(tampered)
+        assert not rep.passed
+        assert not clause_map(rep)["vector_algebra"]
 
     def test_perturbed_lambda_fails(self, cert):
         tampered = dataclasses.replace(cert, lam=cert.lam * (1.0 + 1e-6))

@@ -34,27 +34,28 @@ def hypoexp_cdf_diff(x):
 
 class TestNearZeroSign:
     def test_product_decides(self):
-        assert near_zero_sign([1.0, 4.0], [2.0, 3.0], 1.0) is Sign.MINUS
-        assert near_zero_sign([2.0, 3.0], [1.0, 4.0], 0.5) is Sign.PLUS
+        assert near_zero_sign([1.0, 4.0], [2.0, 3.0]) is Sign.MINUS
+        assert near_zero_sign([2.0, 3.0], [1.0, 4.0]) is Sign.PLUS
 
     def test_equal_products_indeterminate(self):
-        assert near_zero_sign([1.0, 4.0], [2.0, 2.0], 1.0) is Sign.INDETERMINATE
-        assert near_zero_sign([1.0, 2.0], [2.0, 1.0], 3.0) is Sign.INDETERMINATE
+        assert near_zero_sign([1.0, 4.0], [2.0, 2.0]) is Sign.INDETERMINATE
+        assert near_zero_sign([1.0, 2.0], [2.0, 1.0]) is Sign.INDETERMINATE
 
     def test_alpha_never_flips_it(self):
+        theta, eta = [0.05, 0.1475, 1.1025], [0.1, 0.1, 1.1]
+        assert near_zero_sign(theta, eta) is Sign.MINUS
         for a in (0.25, 1.0, 7.0):
-            assert near_zero_sign([0.05, 0.1475, 1.1025], [0.1, 0.1, 1.1], a) is Sign.MINUS
+            rep = sign_profile(theta, eta, a)
+            assert rep.near_zero == "-" and rep.sign_sequence[0] == "-", a
 
     def test_zero_weight_sends_product_to_zero(self):
-        assert near_zero_sign([0.0, 2.0], [1.0, 1.0], 1.0) is Sign.MINUS
+        assert near_zero_sign([0.0, 2.0], [1.0, 1.0]) is Sign.MINUS
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            near_zero_sign([1.0], [1.0, 2.0], 1.0)
+            near_zero_sign([1.0], [1.0, 2.0])
         with pytest.raises(DomainError):
-            near_zero_sign([1.0, 2.0], [1.0, 2.0], 0.0)
-        with pytest.raises(DomainError):
-            near_zero_sign([0.0, 0.0], [1.0, 1.0], 1.0)
+            near_zero_sign([0.0, 0.0], [1.0, 1.0])
 
 
 class TestTailSign:
@@ -400,8 +401,6 @@ class TestPerturbationIdentity:
     def test_domain(self):
         with pytest.raises(DomainError):
             lemma2_residual([1.0, 2.0], -0.1, 1.5, 2.0)
-        with pytest.raises(DomainError):
-            lemma2_residual([1.0, 2.0], 0.25, 1.5, 2.0, h=0.0)
         with pytest.raises(DomainError):
             lemma2_residual([1.0, 2.0], 0.9999, 1.5, 2.0)  # theta1 - delta - h <= 0
         with pytest.raises(DomainError):

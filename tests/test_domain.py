@@ -13,7 +13,6 @@ from gammacross.errors import DomainError
 GOOD = [1.0, 2.0]
 
 ALPHA_ENTRY_POINTS = {
-    "near_zero_sign": lambda a: gx.near_zero_sign(GOOD, GOOD, a),
     "sign_profile": lambda a: gx.sign_profile(GOOD, [1.5, 1.5], a),
     "h_diff": lambda a: gx.h_diff([1.0, 4.0], [2.0, 3.0], a, 2.5),
     "lemma2_residual": lambda a: gx.lemma2_residual(GOOD, 0.1, a, 1.0),
@@ -28,7 +27,7 @@ ALPHA_ENTRY_POINTS = {
 
 # the bad vector goes into every weight argument
 WEIGHT_ENTRY_POINTS = {
-    "near_zero_sign": lambda w: gx.near_zero_sign(w, w, 1.0),
+    "near_zero_sign": lambda w: gx.near_zero_sign(w, w),
     "tail_sign": lambda w: gx.tail_sign(w, w),
     "sign_profile": lambda w: gx.sign_profile(w, w, 1.0),
     "u_star": lambda w: gx.u_star(w, w),
@@ -45,8 +44,6 @@ WEIGHT_ENTRY_POINTS = {
 # every argument that sizes a grid, each with its own minimum
 GRID_ENTRY_POINTS = {
     "sign_profile": lambda n: gx.sign_profile(GOOD, [1.5, 1.5], 1.0, grid_size=n),
-    "star_order_check": lambda n: gx.star_order_check(GOOD, GOOD, 1.0, [1.0], grid_size=n),
-    "build_counterexample": lambda n: gx.build_counterexample(0.5, grid_size=n),
     "mode_structure": lambda n: gx.mode_structure(gx.gamma_unit(2.0), (0.1, 5.0),
                                                   grid_size=n),
 }
@@ -129,9 +126,13 @@ def test_density_order_integers():
 
 
 def test_no_certificate_from_an_empty_grid():
-    a, b = gx.make_convolution(1.0, [1.0, 4.0]), gx.make_convolution(1.0, [2.0, 3.0])
-    for grid in ([], [[1.0, 2.0]]):
-        with pytest.raises(DomainError):
-            gx.st_dominates(a, b, grid=grid)
     with pytest.raises(DomainError):
         gx.star_order_check([2.0, 3.0], [1.0, 4.0], 1.0, [])
+
+
+@pytest.mark.parametrize("window", [(1.0,), 5.0, "ab", (1.0, 2.0, 3.0)],
+                         ids=["one_entry", "scalar", "string", "three_entries"])
+def test_bad_window(window):
+    # exactly two numbers: no IndexError or TypeError, no entry dropped
+    with pytest.raises(DomainError, match="window must be"):
+        gx.mode_structure(gx.gamma_unit(2.0), window)

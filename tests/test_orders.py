@@ -131,11 +131,6 @@ class TestStDominates:
             assert st_dominates(make_convolution(a, et), make_convolution(a, th),
                                 tol=1e-8)
 
-    def test_explicit_grid(self):
-        gt = make_convolution(1.0, [1.0, 6.0, 10.0])
-        ge = make_convolution(1.0, [4.0, 5.0, 10.0])
-        assert st_dominates(gt, ge, grid=np.geomspace(0.01, 200.0, 64), tol=1e-9)
-
 
 class TestStarOrderCheck:
     def test_scale_family_single_crossing(self):
