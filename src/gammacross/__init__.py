@@ -21,7 +21,6 @@ from .crossing import (
     tail_sign,
     u_star,
 )
-from .densities import SmoothDensity, gamma_unit, mix
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -44,6 +43,7 @@ from .mixtures import (
     bimodal_mixture,
     bimodality_window,
     exp_pair_logconcavity_sides,
+    gamma_mixture,
     lemma3_lambda,
     mode_structure,
 )
@@ -72,9 +72,6 @@ __all__ = [
     "ecdf_band",
     "h1_closed",
     "h2_closed",
-    "SmoothDensity",
-    "gamma_unit",
-    "mix",
     "majorizes",
     "log_majorizes",
     "VMajWitness",
@@ -96,6 +93,7 @@ __all__ = [
     "StationaryPoint",
     "lemma3_lambda",
     "bimodality_window",
+    "gamma_mixture",
     "bimodal_mixture",
     "mode_structure",
     "exp_pair_logconcavity_sides",

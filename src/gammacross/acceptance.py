@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import densities
 from .counterexample import build_counterexample, verify_certificate
 from .crossing import Classification, sign_profile, u_star, h_diff, lemma2_residual
 from .errors import GammaCrossError
@@ -32,6 +31,7 @@ from .mixtures import (
     bimodal_mixture,
     bimodality_window,
     exp_pair_logconcavity_sides,
+    gamma_mixture,
     mode_structure,
 )
 from .orders import st_dominates, star_order_check, v_majorizes, v_majorizes_brute
@@ -224,12 +224,9 @@ def criterion_7() -> CriterionResult:
                 bad_low += 1
     bad_high = 0
     for a in (1.0, 1.5, 2.0):
-        g_lo = densities.gamma_unit(a)
-        g_hi = densities.gamma_unit(1.0 + a)
         lo_edge = 1e-10 if a <= 1.0 else 1e-6
         for lam in np.geomspace(1e-3, 1e3, 64):
-            m = densities.mix([(lam / (1 + lam), g_hi), (1 / (1 + lam), g_lo)])
-            ms = mode_structure(m, (lo_edge, (1.0 + a) * 8 + 20))
+            ms = mode_structure(gamma_mixture(a, lam), (lo_edge, (1.0 + a) * 8 + 20))
             if ms.n_maxima >= 2:
                 bad_high += 1
     ok = bad_low == 0 and bad_high == 0

@@ -280,7 +280,8 @@ def main(argv=None) -> int:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        where = "write output" if exc.filename is None else f"open {exc.filename}"
+        print(f"cannot {where}: {exc.strerror}", file=sys.stderr)
         return 1
     except GammaCrossError as exc:
         print(f"engine error: {exc}", file=sys.stderr)

@@ -228,6 +228,9 @@ def verify_certificate(cert: CounterexampleCertificate,
     w_lo, w_hi = bimodality_window(a)
     clause("x0_in_window", w_lo < cert.x0 < w_hi,
            f"x0={cert.x0:.12g} window=({w_lo:.12g}, {w_hi:.12g})")
+    if not 0.0 < cert.x0 < a:  # lemma3_lambda's mode gap, max(0, a - 1) = 0 here
+        clause("lambda_matches", False, f"x0={cert.x0!r} outside the mode gap (0, {a!r})")
+        return VerificationReport(tuple(clauses))
     lam_ref = lemma3_lambda(a, cert.x0)
     clause("lambda_matches", abs(cert.lam - lam_ref) <= 1e-9 * max(1.0, abs(lam_ref)),
            f"lambda={cert.lam!r} recomputed={lam_ref!r}")
@@ -238,11 +241,15 @@ def verify_certificate(cert: CounterexampleCertificate,
            f"eps={cert.eps!r} delta={cert.delta!r} 1/lambda={inv_lam!r}")
 
     theta_ref, eta_ref, _ = construction(cert.eps, cert.lam, cert.delta)
-    vec_ok = (len(cert.theta) == len(cert.eta) == 3
+    # what majorizes and the scan take: 3 nonnegative finite entries, one positive
+    usable = all(len(v) == 3 and all(0.0 <= x < math.inf for x in v) and max(v) > 0.0
+                 for v in (cert.theta, cert.eta))
+    vec_ok = (usable and min(cert.theta + cert.eta) > 0.0
               and all(_close_ulp(x, y) for x, y in zip(theta_ref, cert.theta))
               and all(_close_ulp(x, y) for x, y in zip(eta_ref, cert.eta)))
-    clause("vector_algebra", vec_ok and min(cert.theta) > 0.0,
-           f"theta={cert.theta!r} eta={cert.eta!r}")
+    clause("vector_algebra", vec_ok, f"theta={cert.theta!r} eta={cert.eta!r}")
+    if not usable:
+        return VerificationReport(tuple(clauses))
 
     clause("majorization", majorizes(cert.theta, cert.eta)
            and sorted(cert.theta) != sorted(cert.eta), "eta majorized by theta, not equal")

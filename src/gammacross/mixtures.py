@@ -1,4 +1,4 @@
-"""Mode structure of densities and the bimodal gamma-mixture device.
+"""Mode structure of a density and the bimodal gamma-mixture device.
 
 For shape alpha in (0, 1) the two-term mixture lam * g_{1+alpha} + g_alpha
 can be made bimodal: picking any x0 strictly between the modes of g_alpha
@@ -14,25 +14,28 @@ alpha (1 - alpha) / (lam x0).  x0 is the smaller root, so a local minimum,
 exactly when x0^2 + 2(1-alpha) x0 - alpha(1-alpha) < 0, i.e. for x0 below
 sqrt(1-alpha) - (1-alpha).  For alpha >= 1 no lam produces an interior
 minimum.  The numeric mode scanner here locates and classifies the
-stationary points of a density on a window.
+stationary points on a window of any density f(x, order) with the signature
+of `GammaConvolution.density`, such as the unit gamma
+g_alpha = `make_convolution(alpha, [1.0]).density`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import densities
 from ._domain import check_alpha, check_grid_size, check_window
-from .densities import SmoothDensity
 from .errors import DomainError
+from .gconv import make_convolution
 
 __all__ = [
     "lemma3_lambda",
     "bimodality_window",
+    "gamma_mixture",
     "bimodal_mixture",
     "StationaryPoint",
     "ModeStructure",
@@ -66,16 +69,24 @@ def bimodality_window(alpha: float) -> tuple[float, float]:
     return 0.0, math.sqrt(1.0 - a) - (1.0 - a)
 
 
-def bimodal_mixture(alpha: float, x0: float) -> tuple[float, SmoothDensity]:
-    """(lam, normalized mixture density (lam g_{1+alpha} + g_alpha)/(1+lam)).
+def gamma_mixture(alpha: float, lam: float) -> Callable:
+    """(lam g_{1+alpha} + g_alpha) / (1 + lam) as an f(x, order), for lam > 0."""
+    lam = float(lam)
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise DomainError(f"lam must be positive and finite, got {lam!r}")
+    g_lo = make_convolution(alpha, [1.0]).density
+    g_hi = make_convolution(1.0 + alpha, [1.0]).density
+    w_hi, w_lo = lam / (1.0 + lam), 1.0 / (1.0 + lam)
+    return lambda x, order=0: w_hi * g_hi(x, order) + w_lo * g_lo(x, order)
+
+
+def bimodal_mixture(alpha: float, x0: float) -> tuple[float, Callable]:
+    """(lam, gamma_mixture(alpha, lam)) with lam = lemma3_lambda(alpha, x0).
 
     Stationary at x0 by construction; bimodal when x0 is inside
     bimodality_window(alpha)."""
     lam = lemma3_lambda(alpha, x0)
-    g_lo = densities.gamma_unit(alpha)
-    g_hi = densities.gamma_unit(1.0 + alpha)
-    s = densities.mix([(lam / (1.0 + lam), g_hi), (1.0 / (1.0 + lam), g_lo)])
-    return lam, s
+    return lam, gamma_mixture(alpha, lam)
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,8 @@ class ModeStructure:
     """Interior stationary points plus window-edge behavior.
 
     An edge where the density moves away from the window counts as a maximum
-    (left edge with f' < 0, right edge with f' > 0); densities diverging at
-    the origin report a left-edge maximum this way.
+    (left edge with f' < 0, right edge with f' > 0); a density diverging at
+    the origin reports a left-edge maximum this way.
     """
 
     points: tuple[StationaryPoint, ...]
@@ -117,21 +128,21 @@ class ModeStructure:
         return self.n_maxima == 1 and self.n_minima == 0 and not self.has_undecided
 
 
-def mode_structure(f: SmoothDensity, window: tuple[float, float],
+def mode_structure(f: Callable, window: tuple[float, float],
                    grid_size: int = 512) -> ModeStructure:
-    """Locate interior stationary points of f on the window by sign changes
-    of f' on a log grid, solve f' = 0 on each bracket by Brent's method to
-    relative accuracy 1e-13, and classify by f'' against 1e-9."""
+    """Locate interior stationary points of f(x, order) on the window by sign
+    changes of f(xs, 1) on a log grid, solve f(x, 1) = 0 on each bracket by
+    Brent's method to relative accuracy 1e-13, and classify by f(x, 2) against 1e-9."""
     lo, hi = check_window(window)
     xs = np.geomspace(lo, hi, check_grid_size(grid_size, 32))
-    d1 = np.asarray(f.d1(xs), dtype=float)
+    d1 = np.asarray(f(xs, 1), dtype=float)
     if not np.all(np.isfinite(d1)):
         raise DomainError("f' is not finite on the window")
     points: list[StationaryPoint] = []
     for i in np.nonzero(np.sign(d1[1:]) * np.sign(d1[:-1]) < 0)[0]:
-        x_star = brentq(lambda x: float(f.d1(x)), xs[i], xs[i + 1],
+        x_star = brentq(lambda x: float(f(x, 1)), xs[i], xs[i + 1],
                         xtol=_TINY, rtol=_STAT_RTOL)
-        curv = float(f.d2(x_star))
+        curv = float(f(x_star, 2))
         if curv < -_CURV_TOL:
             kind = "max"
         elif curv > _CURV_TOL:

@@ -1,6 +1,8 @@
 """Exit-code contract, serialization, and determinism of the command line."""
 
+import errno
 import json
+import sys
 
 import pytest
 
@@ -115,6 +117,21 @@ class TestCheck:
         assert "leading series weight" in err and "-700" in err
         assert "scale ratios" not in err
 
+    def test_closed_stdout_is_a_write_error(self, capsys, monkeypatch):
+        # `gammacross check ... | head -1`: no file is named, so none is reported
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["check", "--alpha", "1", "--theta", "1,4", "--eta", "2,3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot write output: Broken pipe" in err and "None" not in err
+
 
 @pytest.fixture(scope="module")
 def cert_path(tmp_path_factory):
@@ -156,13 +173,24 @@ class TestCounterexampleVerify:
         ("lambda", None, "-0x0p+0", "eps_delta"),
         ("theta", 0, "0x0p+0", "product_inequality"),
         ("eta", 0, "0x0p+0", "product_inequality"),
-    ], ids=["lambda_zero", "lambda_negative_zero", "theta_zero_entry", "eta_zero_entry"])
+        ("theta", 0, "-0x1p-7", "vector_algebra"),
+        ("theta", 1, "inf", "vector_algebra"),
+        ("eta", 2, None, "vector_algebra"),
+        ("theta", None, ["0x0p+0"] * 3, "vector_algebra"),
+        ("x0", None, 0.6, "lambda_matches"),
+        ("x0", None, -0.125, "lambda_matches"),
+    ], ids=["lambda_zero", "lambda_negative_zero", "theta_zero_entry", "eta_zero_entry",
+            "theta_negative_entry", "theta_infinite_entry", "eta_two_entries",
+            "theta_all_zero",             "x0_above_mode", "x0_negative"])
     def test_degenerate_field_fails_its_clause(self, capsys, cert_path, tmp_path, field,
                                                index, value, clause):
-        # a report with a FAIL clause and exit 2, not a traceback
+        # a report with a FAIL clause and exit 2, not a traceback or an
+        # "invalid input" exit 1
         raw = json.loads(cert_path.read_text())
         if index is None:
             raw[field] = value
+        elif value is None:  # cut the vector before this entry
+            del raw[field][index:]
         else:
             raw[field][index] = value
         bad = tmp_path / "degenerate.json"

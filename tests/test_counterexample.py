@@ -15,8 +15,8 @@ from gammacross.counterexample import (
     verify_certificate,
 )
 from gammacross.crossing import Classification, sign_profile
-from gammacross.densities import gamma_unit
 from gammacross.errors import DomainError, SearchExhaustedError
+from gammacross.gconv import make_convolution
 from gammacross.mixtures import bimodality_window, lemma3_lambda
 from gammacross.orders import majorizes
 
@@ -59,13 +59,14 @@ class TestBuild:
         # x0 - w, positive at x0 + w and zero at the next stationary point
         # a (1 - a) / (lam x0), relative to the size of its two terms
         for a in np.linspace(0.02, 0.98, 25):
-            g_lo, g_hi = gamma_unit(a), gamma_unit(1.0 + a)
+            g_lo = make_convolution(a, [1.0]).density
+            g_hi = make_convolution(1.0 + a, [1.0]).density
             for x0 in np.linspace(0.02, 0.98, 25) * bimodality_window(a)[1]:
                 lam = lemma3_lambda(a, x0)
                 w = _half_width(a, lam, x0)
 
                 def terms(x):
-                    return lam * float(g_hi.d1(x)), float(g_lo.d1(x))
+                    return lam * float(g_hi(x, 1)), float(g_lo(x, 1))
 
                 assert x0 - w > 0.0 and sum(terms(x0 - w)) < 0.0 < sum(terms(x0 + w))
                 hi, lo = terms(a * (1.0 - a) / (lam * x0))

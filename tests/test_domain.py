@@ -17,10 +17,10 @@ ALPHA_ENTRY_POINTS = {
     "h_diff": lambda a: gx.h_diff([1.0, 4.0], [2.0, 3.0], a, 2.5),
     "lemma2_residual": lambda a: gx.lemma2_residual(GOOD, 0.1, a, 1.0),
     "make_convolution": lambda a: gx.make_convolution(a, GOOD),
-    "gamma_unit": lambda a: gx.gamma_unit(a),
     "lemma3_lambda": lambda a: gx.lemma3_lambda(a, 0.1),
     "bimodality_window": lambda a: gx.bimodality_window(a),
     "bimodal_mixture": lambda a: gx.bimodal_mixture(a, 0.1),
+    "gamma_mixture": lambda a: gx.gamma_mixture(a, 1.0),
     "star_order_check": lambda a: gx.star_order_check(GOOD, GOOD, a, [1.0]),
     "build_counterexample": lambda a: gx.build_counterexample(a),
 }
@@ -44,8 +44,8 @@ WEIGHT_ENTRY_POINTS = {
 # every argument that sizes a grid, each with its own minimum
 GRID_ENTRY_POINTS = {
     "sign_profile": lambda n: gx.sign_profile(GOOD, [1.5, 1.5], 1.0, grid_size=n),
-    "mode_structure": lambda n: gx.mode_structure(gx.gamma_unit(2.0), (0.1, 5.0),
-                                                  grid_size=n),
+    "mode_structure": lambda n: gx.mode_structure(gx.make_convolution(2.0, [1.0]).density,
+                                                  (0.1, 5.0), grid_size=n),
 }
 
 
@@ -135,4 +135,4 @@ def test_no_certificate_from_an_empty_grid():
 def test_bad_window(window):
     # exactly two numbers: no IndexError or TypeError, no entry dropped
     with pytest.raises(DomainError, match="window must be"):
-        gx.mode_structure(gx.gamma_unit(2.0), window)
+        gx.mode_structure(gx.make_convolution(2.0, [1.0]).density, window)

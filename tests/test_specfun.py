@@ -4,8 +4,9 @@ Reference values were computed with mpmath at 50 decimal digits and are
 embedded as literals so the tests never depend on another library's special
 functions at runtime.  The package takes lnGamma, P(a, x) and the beta CDF
 from scipy.special; each table is checked through the public function that
-uses it: `gamma_unit` (lnGamma and the gamma density), the single-component
-series engine (P), and `h_diff` (the symmetric beta CDF).
+uses it: the density of one unit-scale gamma component (lnGamma and the
+gamma density with its first two derivatives), that component's CDF (P),
+and `h_diff` (the symmetric beta CDF).
 """
 
 import math
@@ -15,7 +16,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gammacross.crossing import h_diff
-from gammacross.densities import gamma_unit
 from gammacross.errors import DomainError
 from gammacross.gconv import make_convolution
 
@@ -63,9 +63,14 @@ DENSITY_TABLE = [
 ]
 
 
+def unit_gamma(a: float):
+    """The unit-scale gamma density g_a as an f(x, order)."""
+    return make_convolution(a, [1.0]).density
+
+
 def log_gamma(a: float, x: float = 1.0) -> float:
-    """lnGamma(a) recovered from gamma_unit's normalisation at x."""
-    return (a - 1.0) * math.log(x) - x - math.log(float(gamma_unit(a).value(x)))
+    """lnGamma(a) recovered from the unit gamma density's normalisation at x."""
+    return (a - 1.0) * math.log(x) - x - math.log(float(unit_gamma(a)(x)))
 
 
 def reg_lower_inc_gamma(a: float, x: float) -> float:
@@ -105,7 +110,7 @@ class TestLogGamma:
     def test_domain(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                gamma_unit(bad)
+                unit_gamma(bad)
 
 
 class TestRegLowerIncGamma:
@@ -170,10 +175,10 @@ class TestBetaCdf:
 class TestGammaDensity:
     def test_frozen_table(self):
         for a, t, g, g1, g2 in DENSITY_TABLE:
-            f = gamma_unit(a)
-            assert_allclose(f.value(t), g, rtol=5e-14)
-            assert_allclose(f.d1(t), g1, rtol=5e-14)
-            assert_allclose(f.d2(t), g2, rtol=5e-14)
+            f = unit_gamma(a)
+            assert_allclose(f(t, 0), g, rtol=5e-14)
+            assert_allclose(f(t, 1), g1, rtol=5e-14)
+            assert_allclose(f(t, 2), g2, rtol=5e-14)
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -181,13 +186,13 @@ class TestGammaDensity:
             a = float(rng.uniform(0.4, 5.0))
             t = float(rng.uniform(0.2, 6.0))
             h = 1e-6 * max(1.0, t)
-            f = gamma_unit(a)
-            fd1 = (f.value(t + h) - f.value(t - h)) / (2.0 * h)
-            assert_allclose(f.d1(t), fd1, rtol=5e-8, atol=1e-10)
-            fd2 = (f.d1(t + h) - f.d1(t - h)) / (2.0 * h)
-            assert_allclose(f.d2(t), fd2, rtol=5e-7, atol=1e-9)
+            f = unit_gamma(a)
+            fd1 = (f(t + h, 0) - f(t - h, 0)) / (2.0 * h)
+            assert_allclose(f(t, 1), fd1, rtol=5e-8, atol=1e-10)
+            fd2 = (f(t + h, 1) - f(t - h, 1)) / (2.0 * h)
+            assert_allclose(f(t, 2), fd2, rtol=5e-7, atol=1e-9)
 
     def test_mode_stationarity(self):
         # g_a'(a - 1) = 0 for a > 1
         for a in (1.5, 2.0, 4.0):
-            assert float(gamma_unit(a).d1(a - 1.0)) == pytest.approx(0.0, abs=1e-16)
+            assert float(unit_gamma(a)(a - 1.0, 1)) == pytest.approx(0.0, abs=1e-16)
