@@ -1,10 +1,10 @@
 """Self-test suite: ten numbered criteria covering the crossing engine,
 the counterexample construction, and every supporting identity.
 
-Each criterion is a standalone function returning a CriterionResult with a
-hard runtime budget folded into the pass condition.  `run_selftest` prints
-one line per criterion and returns a process exit code (0 all pass, 4
-otherwise).  Seeds are fixed so results are reproducible bit for bit.
+Each criterion returns (passed, detail); the table `_CRITERIA` holds its
+name and runtime budget.  `run_criterion`, the one runner, times a criterion
+and fails it over budget or on a GammaCrossError; `selftest` and the Tier-1
+tests both call it.  Seeds are fixed so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .mixtures import (
 )
 from .orders import st_dominates, star_order_check, v_majorizes, v_majorizes_brute
 
-__all__ = ["CriterionResult", "run_selftest", "FAST_CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "run_selftest", "FAST_CRITERIA"]
 
 FAST_CRITERIA = (1, 5, 6, 7, 10)
 _TINY = np.finfo(float).tiny
@@ -56,15 +56,6 @@ class CriterionResult:
         return f"[{tag}] criterion {self.number} ({self.name}): {self.detail} [{self.elapsed:.1f}s]"
 
 
-def _finish(number: int, name: str, t0: float, budget: float, ok: bool,
-            detail: str) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    if elapsed >= budget:
-        ok = False
-        detail += f"; over budget ({elapsed:.1f}s >= {budget:.0f}s)"
-    return CriterionResult(number, name, ok, detail, elapsed)
-
-
 def _separated_pair(rng: np.random.Generator, sep: float = 0.10):
     # bounded away from the max-tie surface, where the last crossing escapes
     # into the far tail below any fixed certification tolerance
@@ -74,9 +65,8 @@ def _separated_pair(rng: np.random.Generator, sep: float = 0.10):
             return th, et
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> tuple[bool, str]:
     """Three-component tie-at-the-top instance: no crossing, plain dominance."""
-    t0 = time.perf_counter()
     theta, eta = [1.0, 6.0, 10.0], [4.0, 5.0, 10.0]
     rep = sign_profile(theta, eta, 1.0)
     gt = make_convolution(1.0, theta)
@@ -84,13 +74,12 @@ def criterion_1() -> CriterionResult:
     dom = st_dominates(gt, ge, tol=1e-9)  # F_theta >= F_eta - 1e-9 pointwise
     ok = rep.classification is Classification.NO_CROSSING and dom
     detail = f"classification={rep.classification.name} dominance={dom}"
-    return _finish(1, "no-crossing dominance instance", t0, 5.0, ok, detail)
+    return ok, detail
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> tuple[bool, str]:
     """n=2 iff-oracle: single crossing from below iff the product drops and
     the max rises; equal-product log-majorized pairs never cross."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260817)
     alphas = [0.5, 1.0, 2.0]
     undecided = mismatches = 0
@@ -113,12 +102,11 @@ def criterion_2() -> CriterionResult:
     ok = mismatches == 0 and undecided < 5 and ep_bad == 0
     detail = (f"mismatches={mismatches}/500 undecided={undecided} "
               f"equal-product failures={ep_bad}/30")
-    return _finish(2, "n=2 iff oracle", t0, 120.0, ok, detail)
+    return ok, detail
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> tuple[bool, str]:
     """Majorized pairs at shape >= 1 always cross exactly once, from below."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(777)
     alphas = [1.0, 1.5, 2.0, 3.0]
     undecided = wrong = 0
@@ -133,13 +121,12 @@ def criterion_3() -> CriterionResult:
             wrong += 1
     ok = wrong == 0 and undecided < 4
     detail = f"wrong={wrong}/200 undecided={undecided}"
-    return _finish(3, "majorized single crossing", t0, 600.0, ok, detail)
+    return ok, detail
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> tuple[bool, str]:
     """Triple-crossing counterexamples below shape 1, verified at doubled
     resolution with margins far above engine error."""
-    t0 = time.perf_counter()
     parts = []
     ok = True
     for a in (0.25, 0.5, 0.75):
@@ -156,13 +143,12 @@ def criterion_4() -> CriterionResult:
         this_ok = rep.passed and k >= 3
         ok = ok and this_ok and (time.perf_counter() - t1) < 300.0
         parts.append(f"a={a}: k={k} min_margin={min_margin:.2e} verified={rep.passed}")
-    return _finish(4, "triple-crossing counterexamples", t0, 900.0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> tuple[bool, str]:
     """Perturbation derivative identity: d/d-delta of the CDF equals the
     supplemented-density side, to finite-difference accuracy."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(55)
     worst = 0.0
     for _ in range(20):
@@ -175,14 +161,12 @@ def criterion_5() -> CriterionResult:
             x = full.quantile(p)
             worst = max(worst, lemma2_residual(th_star, delta, a, x, g_tail=g_tail))
     ok = worst < 1e-5
-    return _finish(5, "perturbation identity", t0, 60.0, ok,
-                   f"worst relative residual={worst:.2e} over 20 configs x 5 points")
+    return ok, f"worst relative residual={worst:.2e} over 20 configs x 5 points"
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> tuple[bool, str]:
     """Exponential-pair and second-order closed forms match the engine;
     the exponential-pair log-concavity identity stays positive."""
-    t0 = time.perf_counter()
     worst = 0.0
     for d in np.arange(0.1, 0.95, 0.1):
         d = round(float(d), 1)
@@ -205,13 +189,12 @@ def criterion_6() -> CriterionResult:
     ok = worst < 1e-10 and min_rhs > 0.0 and worst_id < 1e-9
     detail = (f"closed-form max err={worst:.2e}; identity min value={min_rhs:.3g} "
               f"agreement={worst_id:.2e}")
-    return _finish(6, "closed forms and positivity identity", t0, 60.0, ok, detail)
+    return ok, detail
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> tuple[bool, str]:
     """Bimodality appears exactly below shape 1: every tuned mixture in the
     window is bimodal; above shape 1 no mixture weight produces two modes."""
-    t0 = time.perf_counter()
     bad_low = 0
     for a in (0.3, 0.5, 0.7, 0.9):
         _, xq = bimodality_window(a)
@@ -231,12 +214,11 @@ def criterion_7() -> CriterionResult:
                 bad_high += 1
     ok = bad_low == 0 and bad_high == 0
     detail = f"window failures={bad_low}/96; bimodal-above-one count={bad_high}/192"
-    return _finish(7, "bimodality map", t0, 120.0, ok, detail)
+    return ok, detail
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> tuple[bool, str]:
     """Analytic CDF sits inside the 99% band of a million-sample eCDF."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(88)
     alphas = [0.5, 1.0, 2.5]
     outside = 0
@@ -247,20 +229,19 @@ def criterion_8() -> CriterionResult:
         gc = make_convolution(a, rng.uniform(0.3, 3.0, n))
         samples = gc.sample(10 ** 6, np.random.SeedSequence(550000 + i))
         band = ecdf_band(samples)
-        grid = np.unique(np.quantile(samples, np.linspace(0.0, 1.0, 20001)))
+        grid = np.unique(np.quantile(band.sorted_samples, np.linspace(0.0, 1.0, 20001)))
         sup = band.sup_deviation_bound(grid, gc.cdf(grid))
         worst_gap = max(worst_gap, sup - band.half_width)
         if sup > band.half_width:
             outside += 1
     ok = outside == 0
     detail = f"outside band={outside}/20; worst sup-minus-halfwidth={worst_gap:.2e}"
-    return _finish(8, "Monte Carlo consistency", t0, 300.0, ok, detail)
+    return ok, detail
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[bool, str]:
     """Order-theoretic routes: equal-product contraction dominance, the
     V-order with a product cap, witness search vs brute force, star order."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2718)
     l1_fail = v_fail = 0
     for i in range(50):
@@ -291,13 +272,12 @@ def criterion_9() -> CriterionResult:
     ok = l1_fail == 0 and v_fail == 0 and brute_mismatch == 0 and star_ok
     detail = (f"contraction fails={l1_fail}/50 V-order fails={v_fail}/50 "
               f"brute mismatches={brute_mismatch}/50 star={star_ok}")
-    return _finish(9, "orders suite", t0, 300.0, ok, detail)
+    return ok, detail
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> tuple[bool, str]:
     """The two-component transform difference changes sign once, at the
     closed-form pivot."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(31415)
     worst = 0.0
     bad_count = 0
@@ -306,7 +286,7 @@ def criterion_10() -> CriterionResult:
         a = [0.5, 1.0, 2.0][i % 3]
         us = u_star(th, et)
         grid = np.linspace(th[0] + 1e-9, th[1] - 1e-9, 513)
-        vals = np.array([h_diff(th, et, a, float(u)) for u in grid])
+        vals = h_diff(th, et, a, grid)
         sgn = np.sign(vals)
         nz = sgn[sgn != 0]
         if np.count_nonzero(nz[1:] != nz[:-1]) != 1:
@@ -321,28 +301,46 @@ def criterion_10() -> CriterionResult:
         worst = max(worst, abs(loc - us))
     ok = bad_count == 0 and worst < 1e-8
     detail = f"multi-change configs={bad_count}/100; worst |location - pivot|={worst:.2e}"
-    return _finish(10, "pivot localization", t0, 120.0, ok, detail)
+    return ok, detail
 
 
-_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
+_CRITERIA = {  # number: (name, budget in seconds, criterion)
+    1: ("no-crossing dominance instance", 5.0, criterion_1),
+    2: ("n=2 iff oracle", 120.0, criterion_2),
+    3: ("majorized single crossing", 600.0, criterion_3),
+    4: ("triple-crossing counterexamples", 900.0, criterion_4),
+    5: ("perturbation identity", 60.0, criterion_5),
+    6: ("closed forms and positivity identity", 60.0, criterion_6),
+    7: ("bimodality map", 120.0, criterion_7),
+    8: ("Monte Carlo consistency", 300.0, criterion_8),
+    9: ("orders suite", 300.0, criterion_9),
+    10: ("pivot localization", 120.0, criterion_10),
+}
+
+
+def run_criterion(number: int) -> CriterionResult:
+    """Run criterion `number` under its budget: it fails if it takes the
+    budget or longer, or if it raises a GammaCrossError."""
+    name, budget, fn = _CRITERIA[number]
+    t0 = time.perf_counter()
+    try:
+        ok, detail = fn()
+    except GammaCrossError as exc:
+        # a broken engine must fail the criterion, not crash the suite
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - t0
+    if elapsed >= budget:
+        ok = False
+        detail += f"; over budget ({elapsed:.1f}s >= {budget:.0f}s)"
+    return CriterionResult(number, name, ok, detail, elapsed)
 
 
 def run_selftest(fast: bool = False) -> int:
     """Run the criteria (only FAST_CRITERIA when fast), printing one line
     each and a verdict to stdout; exit code 0 if all pass, 4 otherwise."""
     results = []
-    for idx, fn in enumerate(_CRITERIA, start=1):
-        if fast and idx not in FAST_CRITERIA:
-            continue
-        t0 = time.perf_counter()
-        try:
-            res = fn()
-        except GammaCrossError as exc:
-            # a broken engine must fail the criterion, not crash the suite
-            res = CriterionResult(idx, "aborted", False,
-                                  f"raised {type(exc).__name__}: {exc}",
-                                  time.perf_counter() - t0)
+    for number in FAST_CRITERIA if fast else _CRITERIA:
+        res = run_criterion(number)
         results.append(res)
         print(res.line, flush=True)
     failed = [r for r in results if not r.passed]

@@ -16,7 +16,7 @@ import numpy as np
 from ._domain import check_alpha, check_scan
 from ._hexjson import dumps, hex_float, parse_float
 from ._version import ENGINE_VERSION
-from .acceptance import run_selftest
+from .acceptance import FAST_CRITERIA, run_selftest
 from .counterexample import (
     DEFAULT_BUDGET,
     DEFAULT_GRID_FACTOR,
@@ -260,7 +260,8 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("selftest", help="run the acceptance criteria")
     t.add_argument("--fast", action="store_true",
-                   help="quick subset (about half a minute)")
+                   help=f"run only criteria {', '.join(map(str, FAST_CRITERIA))} "
+                        "(a few seconds)")
     t.set_defaults(fn=cmd_selftest)
     return p
 

@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._domain import check_count
+from ._domain import check_count, check_scan
 from ._hexjson import dumps, parse_float
 from ._version import ENGINE_VERSION
 from .crossing import Classification, Crossing, CrossingReport, sign_profile
@@ -259,6 +259,11 @@ def verify_certificate(cert: CounterexampleCertificate,
     clause("product_inequality", lp_t < lp_e - 1e-12,
            f"log prod theta={lp_t:.12g} log prod eta={lp_e:.12g}")
 
+    try:  # bad settings in the certificate fail it; bad factors stay usage errors
+        check_scan(cert.grid_size, cert.tol)
+    except DomainError as exc:
+        clause("recount_classification", False, str(exc))
+        return VerificationReport(tuple(clauses))
     rep = sign_profile(cert.theta, cert.eta, a,
                        grid_size=cert.grid_size * grid_factor,
                        tol=cert.tol * float(tol_factor))

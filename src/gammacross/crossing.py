@@ -295,22 +295,22 @@ def u_star(theta, eta) -> float:
     return (t2 * e1 - e2 * t1) / (t2 - t1 - e2 + e1)
 
 
-def h_diff(theta, eta, alpha: float, u: float) -> float:
+def h_diff(theta, eta, alpha: float, u):
     """H_theta(u) - H_eta(u) where H_v(u) = Pr(v1 W + v2 (1 - W) <= u) and
     W ~ beta(alpha, alpha): equals B((eta2-u)/(eta2-eta1)) -
     B((theta2-u)/(theta2-theta1)) with B the beta(alpha, alpha) CDF, whose
-    argument is clipped to [0, 1]."""
+    argument is clipped to [0, 1].  Vectorized in u; a float for scalar u."""
     t1, t2, e1, e2 = _prop_config(theta, eta)
     a = check_alpha(alpha)
-    u = float(u)
-    if not math.isfinite(u):
+    us = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(us)):
         raise DomainError(f"u must be finite, got {u!r}")
     if e2 > e1:
-        term_eta = betainc(a, a, np.clip((e2 - u) / (e2 - e1), 0.0, 1.0))
+        term_eta = betainc(a, a, np.clip((e2 - us) / (e2 - e1), 0.0, 1.0))
     else:
-        term_eta = 1.0 if u < e1 else 0.0
-    term_theta = betainc(a, a, np.clip((t2 - u) / (t2 - t1), 0.0, 1.0))
-    return float(term_eta - term_theta)
+        term_eta = np.where(us < e1, 1.0, 0.0)
+    v = term_eta - betainc(a, a, np.clip((t2 - us) / (t2 - t1), 0.0, 1.0))
+    return float(v) if us.ndim == 0 else v
 
 
 # -- two-coordinate perturbation identity ------------------------------------

@@ -1,50 +1,15 @@
 """Acceptance gate: every numbered criterion must pass at its stated
-tolerance.  Each test prints the one-line verdict so `pytest -s` (or the
-captured output on failure) reads as the acceptance report."""
+tolerance and within its budget, run by the same `run_criterion` as
+`gammacross selftest`.  Each test prints the one-line verdict so `pytest -s`
+(or the captured output on failure) reads as the acceptance report."""
 
-from gammacross import acceptance
+import pytest
+
+from gammacross.acceptance import run_criterion
 
 
-def _check(res):
+@pytest.mark.parametrize("number", range(1, 11))
+def test_criterion(number):
+    res = run_criterion(number)
     print(res.line)
     assert res.passed, res.line
-
-
-def test_criterion_1_no_crossing_dominance():
-    _check(acceptance.criterion_1())
-
-
-def test_criterion_2_two_component_iff_oracle():
-    _check(acceptance.criterion_2())
-
-
-def test_criterion_3_majorized_single_crossing():
-    _check(acceptance.criterion_3())
-
-
-def test_criterion_4_triple_crossing_counterexamples():
-    _check(acceptance.criterion_4())
-
-
-def test_criterion_5_perturbation_identity():
-    _check(acceptance.criterion_5())
-
-
-def test_criterion_6_closed_forms_and_positivity():
-    _check(acceptance.criterion_6())
-
-
-def test_criterion_7_bimodality_map():
-    _check(acceptance.criterion_7())
-
-
-def test_criterion_8_monte_carlo_consistency():
-    _check(acceptance.criterion_8())
-
-
-def test_criterion_9_orders_suite():
-    _check(acceptance.criterion_9())
-
-
-def test_criterion_10_pivot_localization():
-    _check(acceptance.criterion_10())

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from gammacross import cli, gconv
+from gammacross import acceptance, cli, gconv
 from gammacross.counterexample import build_counterexample
+from gammacross.errors import ConvergenceError
 
 
 def run(capsys, argv):
@@ -179,9 +180,13 @@ class TestCounterexampleVerify:
         ("theta", None, ["0x0p+0"] * 3, "vector_algebra"),
         ("x0", None, 0.6, "lambda_matches"),
         ("x0", None, -0.125, "lambda_matches"),
+        ("tolerances", "tol", "nan", "recount_classification"),
+        ("tolerances", "tol", 2, "recount_classification"),
+        ("tolerances", "grid_size", 10, "recount_classification"),
     ], ids=["lambda_zero", "lambda_negative_zero", "theta_zero_entry", "eta_zero_entry",
             "theta_negative_entry", "theta_infinite_entry", "eta_two_entries",
-            "theta_all_zero",             "x0_above_mode", "x0_negative"])
+            "theta_all_zero",             "x0_above_mode", "x0_negative",
+            "tol_nan", "tol_two", "grid_size_ten"])
     def test_degenerate_field_fails_its_clause(self, capsys, cert_path, tmp_path, field,
                                                index, value, clause):
         # a report with a FAIL clause and exit 2, not a traceback or an
@@ -313,3 +318,28 @@ class TestSelftestFaultInjection:
         # the closed-form agreement criterion must be among the failures
         assert any(line.startswith("[FAIL]") and "criterion 6" in line
                    for line in out.splitlines())
+
+
+class TestSelftestRunner:
+    def test_fast_runs_exactly_the_fast_criteria(self, capsys):
+        assert acceptance.run_selftest(fast=True) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines[:-1]] == [
+            f"[PASS] criterion {n}" for n in (1, 5, 6, 7, 10)]
+        assert lines[-1] == "selftest: PASS (5 criteria)"
+
+    def test_raising_criterion_fails_under_its_own_name(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConvergenceError("injected")
+        monkeypatch.setattr(acceptance, "sign_profile", broken)
+        res = acceptance.run_criterion(1)
+        assert not res.passed
+        assert res.line.startswith("[FAIL] criterion 1 (no-crossing dominance instance): "
+                                   "raised ConvergenceError: injected [")
+
+    def test_over_budget_fails(self, monkeypatch):
+        name, _, fn = acceptance._CRITERIA[1]
+        monkeypatch.setitem(acceptance._CRITERIA, 1, (name, 0.0, fn))
+        res = acceptance.run_criterion(1)
+        assert not res.passed
+        assert res.detail.startswith("classification=NO_CROSSING dominance=True; over budget (")

@@ -375,6 +375,20 @@ class TestMixingPivot:
         after = h_diff([1.0, 4.0], [2.0, 3.0], 0.5, 3.0)
         assert before > 0.0 > after
 
+    @pytest.mark.parametrize("theta,eta", [([1.0, 4.0], [2.0, 3.0]), ([1.0, 4.0], [2.5, 2.5])],
+                             ids=["eta_spread", "eta_tied"])
+    def test_h_diff_array_matches_scalar_calls(self, theta, eta):
+        us = np.linspace(0.5, 4.5, 257)
+        vals = h_diff(theta, eta, 0.5, us)
+        assert vals.shape == us.shape
+        scalar = [h_diff(theta, eta, 0.5, float(u)) for u in us]
+        assert all(type(v) is float for v in scalar)
+        assert vals.tobytes() == np.array(scalar).tobytes()
+
+    def test_h_diff_rejects_a_nonfinite_entry(self):
+        with pytest.raises(DomainError, match="u must be finite"):
+            h_diff([1.0, 4.0], [2.0, 3.0], 1.0, np.array([2.0, np.nan, 3.0]))
+
     def test_configuration_domain(self):
         with pytest.raises(DomainError):
             u_star([2.0, 3.0], [1.0, 4.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gammacross.errors import DomainError
+from gammacross.errors import DomainError, UndecidedError
 from gammacross.gconv import make_convolution
 from gammacross.instances import random_log_majorized_pair, random_majorized_pair
 from gammacross.orders import (
@@ -143,6 +143,12 @@ class TestStarOrderCheck:
     def test_reversed_roles_fail(self):
         cs = np.geomspace(0.25, 4.0, 16)
         assert not star_order_check([1.0, 2.0], [1.0, 3.0], 1.0, cs)
+
+    def test_undecided_scan_raises(self):
+        # theta / c for c just above 1 is eta shrunk by 1e-10, so |D| stays
+        # below the scan tolerance and no sign is certified anywhere
+        with pytest.raises(UndecidedError, match="undecided at c=1.0000000001"):
+            star_order_check([1.0, 3.0], [1.0, 3.0], 1.0, [1.0 + 1e-10])
 
     def test_domain(self):
         with pytest.raises(DomainError):
